@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,6 +37,7 @@ from .reductions import neumann_reduce
 from .states import GenSpec, generate
 from .stateio import (
     StateFormatError,
+    _grid,
     doc_to_matrix,
     dumps_canonical,
     file_digest,
@@ -79,11 +81,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")
 
 
+def _check_tol(value: float, name: str, shown) -> float:
+    """Reject a non-finite or non-positive tolerance; ``shown`` is echoed."""
+    if not math.isfinite(value):
+        raise _CliError(EXIT_FORMAT, f"{name} must be finite, got {shown}")
+    if value <= 0.0:
+        raise _CliError(EXIT_FORMAT, f"{name} must be positive, got {shown}")
+    return value
+
+
 def _resolve_tol(flag_value):
     if flag_value is not None:
-        if flag_value <= 0.0:
-            raise _CliError(EXIT_FORMAT, f"--tol must be positive, got {flag_value}")
-        return float(flag_value)
+        return _check_tol(float(flag_value), "--tol", flag_value)
     raw = os.environ.get(ENV_TOL)
     if raw is None:
         return DEFAULT_TOL
@@ -93,9 +102,7 @@ def _resolve_tol(flag_value):
         raise _CliError(
             EXIT_FORMAT, f"{ENV_TOL} must be a number, got {raw!r}"
         ) from None
-    if value <= 0.0:
-        raise _CliError(EXIT_FORMAT, f"{ENV_TOL} must be positive, got {raw!r}")
-    return value
+    return _check_tol(value, ENV_TOL, repr(raw))
 
 
 def _expand(path: str) -> tuple[list[str], bool]:
@@ -110,26 +117,21 @@ def _expand(path: str) -> tuple[list[str], bool]:
     return [path], False
 
 
-def _grid(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
-def _native(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
-def _emit(echo: str, items: list[dict], batch: bool) -> None:
+def _run_batch(echo: str, path: str, item_fn) -> int:
+    """Run ``item_fn`` per file under ``path``; emit one report, return the worst code."""
+    paths, batch = _expand(path)
+    items = []
+    worst = EXIT_OK
+    for item_path in paths:
+        item, code = item_fn(item_path)
+        items.append(item)
+        worst = max(worst, code)
     if batch:
         doc = {"command": echo, "items": items}
     else:
         doc = {"command": echo, **items[0]}
     sys.stdout.write(dumps_canonical(doc))
+    return worst
 
 
 # ---------------------------------------------------------------- validate
@@ -151,13 +153,9 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
         item["trace_defect"] = check.trace_defect
         item["min_eigenvalue"] = check.min_eigenvalue
         BipartiteState(rho, dims, tol=tol)
-    except QDisentError as exc:
+    except (QDisentError, np.linalg.LinAlgError) as exc:
         item["valid"] = False
         item["error"] = f"{type(exc).__name__}: {exc}"
-        return item, EXIT_INVALID
-    except np.linalg.LinAlgError as exc:
-        item["valid"] = False
-        item["error"] = f"LinAlgError: {exc}"
         return item, EXIT_INVALID
     item["valid"] = True
     item["error"] = None
@@ -166,16 +164,8 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
 
 def cmd_validate(args) -> int:
     tol = _resolve_tol(args.tol)
-    paths, batch = _expand(args.path)
     echo = f"validate --tol {format_real(tol)} {args.path}"
-    items = []
-    worst = EXIT_OK
-    for path in paths:
-        item, code = _validate_item(path, tol)
-        items.append(item)
-        worst = max(worst, code)
-    _emit(echo, items, batch)
-    return worst
+    return _run_batch(echo, args.path, lambda path: _validate_item(path, tol))
 
 
 # ----------------------------------------------------------------- analyze
@@ -201,7 +191,7 @@ def _analyze_item(path: str, tol: float, mode: str) -> tuple[dict, int]:
     if state is None:
         return item, code
     verdict = separability_verdict(state, mode=mode, tol=tol)
-    fields = {k: _native(v) for k, v in dataclasses.asdict(verdict).items()}
+    fields = dataclasses.asdict(verdict)
     fields["all_pass"] = verdict.all_pass
     item["verdict"] = fields
     item["reduced_a"] = _grid(neumann_reduce(state, keep="A"))
@@ -211,16 +201,9 @@ def _analyze_item(path: str, tol: float, mode: str) -> tuple[dict, int]:
 
 def cmd_analyze(args) -> int:
     tol = _resolve_tol(args.tol)
-    paths, batch = _expand(args.path)
     echo = f"analyze --tol {format_real(tol)} --red-mode {args.red_mode} {args.path}"
-    items = []
-    worst = EXIT_OK
-    for path in paths:
-        item, code = _analyze_item(path, tol, args.red_mode)
-        items.append(item)
-        worst = max(worst, code)
-    _emit(echo, items, batch)
-    return worst
+    return _run_batch(echo, args.path,
+                      lambda path: _analyze_item(path, tol, args.red_mode))
 
 
 # ------------------------------------------------------------- disentangle
@@ -277,8 +260,7 @@ def _disentangle_item(path: str, vtol: float, spec) -> tuple[dict, int]:
 
 def cmd_disentangle(args) -> int:
     vtol = _resolve_tol(None)
-    if args.tol <= 0.0:
-        raise _CliError(EXIT_FORMAT, f"--tol must be positive, got {args.tol}")
+    _check_tol(args.tol, "--tol", args.tol)
     if args.max_iter < 1:
         raise _CliError(EXIT_FORMAT, f"--max-iter must be >= 1, got {args.max_iter}")
     if not 0.0 <= args.damping < 1.0:
@@ -287,20 +269,13 @@ def cmd_disentangle(args) -> int:
     if args.m < 1:
         raise _CliError(EXIT_FORMAT, f"--m must be >= 1, got {args.m}")
     spec = _method_spec(args)
-    paths, batch = _expand(args.path)
     echo = (f"disentangle --method {args.method} --p {format_real(args.p)}"
             f" --b-re {format_real(args.b_re)} --b-im {format_real(args.b_im)}"
             f" --m {args.m} --tol {format_real(args.tol)}"
             f" --max-iter {args.max_iter} --damping {format_real(args.damping)}"
             f" {args.path}")
-    items = []
-    worst = EXIT_OK
-    for path in paths:
-        item, code = _disentangle_item(path, vtol, spec)
-        items.append(item)
-        worst = max(worst, code)
-    _emit(echo, items, batch)
-    return worst
+    return _run_batch(echo, args.path,
+                      lambda path: _disentangle_item(path, vtol, spec))
 
 
 # ------------------------------------------------------------------ generate
@@ -436,6 +411,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except QDisentError as exc:
+        # e.g. a non-finite pointer flag that cannot be echoed canonically
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
 
 
 if __name__ == "__main__":

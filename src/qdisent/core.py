@@ -62,6 +62,18 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """Largest entrywise distance between ``m`` and its conjugate transpose."""
+    return float(np.abs(m - m.conj().T).max())
+
+
+def _require_hermitian(arr: np.ndarray, tol: float, what: str = "") -> None:
+    """Raise NotHermitian, message prefixed by ``what``, if the defect exceeds tol."""
+    defect = _hermiticity_defect(arr)
+    if defect > tol:
+        raise NotHermitian(f"{what}hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+
+
 @dataclass(frozen=True)
 class DensityCheck:
     """Diagnostics from probing a candidate density matrix."""
@@ -86,7 +98,7 @@ def density_defects(rho) -> DensityCheck:
     matrix.
     """
     m = _as_square(rho)
-    herm = float(np.abs(m - m.conj().T).max())
+    herm = _hermiticity_defect(m)
     trace = float(abs(m.trace() - 1.0))
     sym = (m + m.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
@@ -204,49 +216,29 @@ def partial_transpose(state: BipartiteState, on: str = "A") -> np.ndarray:
 def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a hermitian matrix, ascending."""
     arr = _as_square(m)
-    defect = float(np.abs(arr - arr.conj().T).max())
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+    _require_hermitian(arr, tol)
     return np.linalg.eigvalsh(arr)
-
-
-def hermitian_eigensystem(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and the matching eigenvector columns."""
-    arr = _as_square(m)
-    defect = float(np.abs(arr - arr.conj().T).max())
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    w, v = np.linalg.eigh(arr)
-    return w, v
 
 
 def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:
     """Lift a one-subsystem operator to the joint space, op (x) I or I (x) op."""
     n_a, n_b = int(dims[0]), int(dims[1])
     arr = _as_square(op, "op")
-    if side == "A":
-        if arr.shape != (n_a, n_a):
-            raise DimensionMismatch(
-                f"op has shape {arr.shape}, expected ({n_a}, {n_a}) for side A"
-            )
-        return np.kron(arr, np.eye(n_b, dtype=complex))
-    if side == "B":
-        if arr.shape != (n_b, n_b):
-            raise DimensionMismatch(
-                f"op has shape {arr.shape}, expected ({n_b}, {n_b}) for side B"
-            )
-        return np.kron(np.eye(n_a, dtype=complex), arr)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    n, rest = (n_a, n_b) if side == "A" else (n_b, n_a)
+    if arr.shape != (n, n):
+        raise DimensionMismatch(
+            f"op has shape {arr.shape}, expected ({n}, {n}) for side {side}"
+        )
+    eye = np.eye(rest, dtype=complex)
+    return np.kron(arr, eye) if side == "A" else np.kron(eye, arr)
 
 
 def validate_projector(p, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check hermiticity and idempotence of a projector candidate."""
     arr = _as_square(p, "projector")
-    defect = float(np.abs(arr - arr.conj().T).max())
-    if defect > tol:
-        raise NotHermitian(
-            f"projector hermiticity defect {defect:.3e} exceeds tol {tol:.3e}"
-        )
+    _require_hermitian(arr, tol, "projector ")
     idem = float(np.abs(arr @ arr - arr).max())
     if idem > tol:
         raise ValueError(f"projector is not idempotent, defect {idem:.3e}")
@@ -256,9 +248,5 @@ def validate_projector(p, tol: float = DEFAULT_TOL) -> np.ndarray:
 def validate_observable(o, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check hermiticity of an observable candidate."""
     arr = _as_square(o, "observable")
-    defect = float(np.abs(arr - arr.conj().T).max())
-    if defect > tol:
-        raise NotHermitian(
-            f"observable hermiticity defect {defect:.3e} exceeds tol {tol:.3e}"
-        )
+    _require_hermitian(arr, tol, "observable ")
     return arr

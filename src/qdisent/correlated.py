@@ -23,6 +23,7 @@ from .core import (
     NotPSDResult,
     QDisentError,
     ZeroDenominator,
+    _hermiticity_defect,
     _ptrace,
     embed_local,
     partial_trace,
@@ -72,7 +73,7 @@ def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
             f"weighted trace {den:.3e} is not above tol {tol:.3e}"
         )
     m = num / den
-    defect = float(np.abs(m - m.conj().T).max())
+    defect = _hermiticity_defect(m)
     m = (m + m.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
     min_eig = float(w[0])

@@ -78,10 +78,13 @@ def dumps_canonical(doc: dict) -> str:
     return _render(doc, "") + "\n"
 
 
+def _grid(m) -> list:
+    """A complex matrix as the nested ``[[re, im], ...]`` grid of a document."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:
-    grid = [[[float(cell.real), float(cell.imag)] for cell in row]
-            for row in state.rho]
-    doc: dict = {"dims": [state.n_a, state.n_b], "rho": grid}
+    doc: dict = {"dims": [state.n_a, state.n_b], "rho": _grid(state.rho)}
     if meta:
         if not isinstance(meta, dict):
             raise StateFormatError("meta must map strings to strings")

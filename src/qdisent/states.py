@@ -127,11 +127,20 @@ def random_state(dims=(2, 2), seed=0, tol: float = DEFAULT_TOL) -> BipartiteStat
     return BipartiteState(random_density(n_a * n_b, seed), (n_a, n_b), tol=tol)
 
 
+def _check_pointer(p: float, b: complex, tol: float) -> None:
+    """Raise InvalidPointer unless p sits in [0, 1] and |b|^2 <= p(1 - p) + tol."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidPointer(f"p must sit in [0, 1], got {p}")
+    if abs(b) ** 2 > p * (1.0 - p) + tol:
+        raise InvalidPointer(
+            f"|b|^2 = {abs(b) ** 2:.3e} exceeds p(1-p) = {p * (1.0 - p):.3e}"
+        )
+
+
 def thermal_pointer(p: float) -> np.ndarray:
     """Diagonal qubit pointer diag(p, 1 - p)."""
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidPointer(f"p must sit in [0, 1], got {p}")
+    _check_pointer(p, 0j, 0.0)
     return np.array([[p, 0.0], [0.0, 1.0 - p]], dtype=complex)
 
 
@@ -142,13 +151,8 @@ def coherent_pointer(p: float, b: complex = 0j, tol: float = DEFAULT_TOL) -> np.
     ``tol``) raises InvalidPointer.
     """
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidPointer(f"p must sit in [0, 1], got {p}")
     b = complex(b)
-    if abs(b) ** 2 > p * (1.0 - p) + tol:
-        raise InvalidPointer(
-            f"|b|^2 = {abs(b) ** 2:.3e} exceeds p(1-p) = {p * (1.0 - p):.3e}"
-        )
+    _check_pointer(p, b, tol)
     return np.array([[p, b], [b.conjugate(), 1.0 - p]], dtype=complex)
 
 

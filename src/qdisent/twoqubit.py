@@ -21,12 +21,11 @@ from .core import (
     DEFAULT_TOL,
     BipartiteState,
     DimensionMismatch,
-    InvalidPointer,
     ZeroDenominator,
 )
 from .correlated import correlated_local_state
 from .reductions import averaged_projective_state
-from .states import coherent_pointer, random_state, thermal_pointer
+from .states import _check_pointer, coherent_pointer, random_state, thermal_pointer
 
 BENCH_GATE = 1e-12
 
@@ -42,13 +41,14 @@ def _as_two_qubit(rho) -> np.ndarray:
     return r
 
 
-def _check_pointer(p: float, b: complex, tol: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise InvalidPointer(f"p must sit in [0, 1], got {p}")
-    if abs(b) ** 2 > p * (1.0 - p) + tol:
-        raise InvalidPointer(
-            f"|b|^2 = {abs(b) ** 2:.3e} exceeds p(1-p) = {p * (1.0 - p):.3e}"
-        )
+def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
+    """Check state and pointer, then divide ``terms(r)``'s numerator by its weight."""
+    r = _as_two_qubit(rho)
+    _check_pointer(p, b, tol)
+    num, den = terms(r)
+    if den <= tol:
+        raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
+    return num / den
 
 
 def _diagonal_local_terms(r: np.ndarray, p: float):
@@ -127,12 +127,7 @@ def diagonal_pointer_local(rho, p: float, tol: float = DEFAULT_TOL) -> np.ndarra
     Equals ``correlated_local_state`` with the same pointer up to
     floating-point noise; this version is the explicit 2x2 table.
     """
-    r = _as_two_qubit(rho)
-    _check_pointer(p, 0j, tol)
-    num, den = _diagonal_local_terms(r, p)
-    if den <= tol:
-        raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
-    return num / den
+    return _normalized(rho, p, 0j, tol, lambda r: _diagonal_local_terms(r, p))
 
 
 def diagonal_pointer_product(rho, p: float, tol: float = DEFAULT_TOL,
@@ -144,23 +139,13 @@ def diagonal_pointer_product(rho, p: float, tol: float = DEFAULT_TOL,
     equals the local table tensored with the pointer; it is kept so the
     bench can report how far off it lands.
     """
-    r = _as_two_qubit(rho)
-    _check_pointer(p, 0j, tol)
-    num, den = _diagonal_product_terms(r, p, literal)
-    if den <= tol:
-        raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
-    return num / den
+    return _normalized(rho, p, 0j, tol, lambda r: _diagonal_product_terms(r, p, literal))
 
 
 def coherent_pointer_local(rho, p: float, b: complex = 0j,
                            tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced A-factor against the pointer [[p, b], [b*, 1-p]], written out."""
-    r = _as_two_qubit(rho)
-    _check_pointer(p, b, tol)
-    num, den = _coherent_local_terms(r, p, b)
-    if den <= tol:
-        raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
-    return num / den
+    return _normalized(rho, p, b, tol, lambda r: _coherent_local_terms(r, p, b))
 
 
 def coherent_pointer_product(rho, p: float, b: complex = 0j,
@@ -172,12 +157,8 @@ def coherent_pointer_product(rho, p: float, b: complex = 0j,
     ``rho[3, 0]`` instead of ``rho[3, 2]`` and the table stops
     factoring; the bench reports that deviation separately.
     """
-    r = _as_two_qubit(rho)
-    _check_pointer(p, b, tol)
-    num, den = _coherent_product_terms(r, p, b, literal)
-    if den <= tol:
-        raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
-    return num / den
+    return _normalized(rho, p, b, tol,
+                       lambda r: _coherent_product_terms(r, p, b, literal))
 
 
 class BenchRow(NamedTuple):

@@ -1,8 +1,10 @@
 """End-to-end checks of the qdisent command line."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from qdisent import file_digest
 from qdisent.cli import main
 from qdisent.stateio import dumps_canonical
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +34,16 @@ def run_json(capsys, *argv):
 
 def as_matrix(grid):
     return np.array([[complex(re, im) for re, im in row] for row in grid])
+
+
+def run_subprocess(cwd, *argv):
+    """Run ``python -m qdisent.cli`` from ``cwd`` with ``src`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    env.pop("QDISENT_TOL", None)
+    return subprocess.run([sys.executable, "-m", "qdisent.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
 
 
 def write_doc(path, diag, corner=None):
@@ -309,7 +323,7 @@ def test_flag_overrides_env_tol(tmp_path, monkeypatch, capsys):
 def test_bad_env_tol_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_doc(tmp_path / "ok.json", [0.25, 0.25, 0.25, 0.25])
-    for bad in ("bogus", "-1", "0"):
+    for bad in ("bogus", "-1", "0", "nan", "inf"):
         monkeypatch.setenv("QDISENT_TOL", bad)
         code, out, err = run(capsys, "validate", "ok.json")
         assert code == 3
@@ -338,12 +352,23 @@ def test_bench2q_small_run(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("flags", [
+    ("validate", "--tol", "nan"),
+    ("analyze", "--tol", "inf"),
+    ("disentangle", "--tol", "nan"),
+    ("disentangle", "--method", "pointer", "--p", "nan"),
+])
+def test_non_finite_flags_exit_3(tmp_path, flags):
+    write_doc(tmp_path / "ok.json", [0.25, 0.25, 0.25, 0.25])
+    proc = run_subprocess(tmp_path, *flags, "ok.json")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
 def test_subprocess_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdisent.cli", "generate", "bell",
-         "--out", "bell.json"],
-        cwd=tmp_path, capture_output=True, text=True,
-    )
+    proc = run_subprocess(tmp_path, "generate", "bell", "--out", "bell.json")
     assert proc.returncode == 0
     assert (tmp_path / "bell.json").exists()
     doc = json.loads(proc.stdout)

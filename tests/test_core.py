@@ -10,7 +10,6 @@ from qdisent.core import (
     density_defects,
     embed_local,
     hermitian_eigenvalues,
-    hermitian_eigensystem,
     partial_trace,
     partial_transpose,
     product_state,
@@ -140,9 +139,6 @@ def test_hermitian_eigenvalues_sorted_and_guarded():
     assert np.all(np.diff(eigs) >= 0)
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    vals, vecs = hermitian_eigensystem(np.diag([0.3, 0.7]))
-    recon = (vecs * vals) @ vecs.conj().T
-    assert np.abs(recon - np.diag([0.3, 0.7])).max() < 1e-14
 
 
 def test_projector_and_observable_validation():

@@ -1,0 +1,100 @@
+"""Byte-level golden digests for command-line paths the benchmark corpus misses.
+
+Each case runs ``qdisent.cli.main`` in-process from a fresh directory and
+records the exit code and the sha256 of stdout.  The digests were taken
+from the implementation before the batch driver and the shared
+validation helpers were factored out, so any change to the report bytes
+shows up here.  Floating-point results depend on the numpy build, so the
+digests only hold for the numpy version they were recorded with.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import numpy as np
+import pytest
+
+from qdisent.cli import main
+
+NUMPY_VERSION = "2.4.6"
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != NUMPY_VERSION,
+    reason=f"golden digests were recorded with numpy {NUMPY_VERSION},"
+           f" this is numpy {np.__version__}",
+)
+
+# a well-formed grid with trace 2: a validation failure (exit 1)
+TRACE_BREACH = (
+    '{\n  "dims": [2, 2],\n  "rho": [[[0.5, 0], [0, 0], [0, 0], [0, 0]],'
+    ' [[0, 0], [0.5, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0.5, 0], [0, 0]],'
+    ' [[0, 0], [0, 0], [0, 0], [0.5, 0]]]\n}\n'
+)
+
+# (name, argv), run in this order: the generate cases write the batch
+# directory that the later cases read
+CASES = (
+    ("generate_bell", ("generate", "bell", "--out", "batch/bell.json")),
+    ("generate_pure_product", ("generate", "pure_product", "--dims", "3", "2",
+                               "--seed", "2", "--out", "batch/product.json")),
+    ("generate_separable_mixture", ("generate", "separable_mixture", "--seed", "7",
+                                    "--terms", "3", "--out", "batch/separable.json")),
+    ("generate_maximally_mixed", ("generate", "maximally_mixed", "--dims", "2", "3",
+                                  "--out", "batch/mixed.json")),
+    ("generate_random", ("generate", "random", "--dims", "3", "2", "--seed", "4",
+                         "--out", "batch/random.json")),
+    ("disentangle_neumann", ("disentangle", "--method", "neumann",
+                             "batch/random.json")),
+    ("disentangle_pointer", ("disentangle", "--method", "pointer", "--p", "0.3",
+                             "--b-re", "0.1", "batch/random.json")),
+    ("batch_validate", ("validate", "batch")),
+    ("batch_analyze", ("analyze", "batch")),
+    ("batch_disentangle", ("disentangle", "batch")),
+    ("bench2q", ("bench2q", "--cases", "50")),
+)
+
+# name -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "generate_bell": (0, "9978749bd023688774e1d7b0472f28a480f5326afe847877031883acee543a99"),
+    "generate_pure_product": (0, "d800f84c45d21bc18782ddcf895ac51da8239d30867ffe6ecb6af726cd3f6518"),
+    "generate_separable_mixture": (0, "bd5d97b44bf72f3051d4b98efeb28458e2997314fc8d882508d2a907929a76bf"),
+    "generate_maximally_mixed": (0, "7635b33088527ff1d247b5b094a664d22c0ba5a604845dc869d7da352573cd32"),
+    "generate_random": (0, "d1d842883abce8d6af7aa937da5118e323103540ac6971d4c7a044d66b84fb62"),
+    "disentangle_neumann": (0, "029880b25f14ad7e8f82334777f13af4620fbf35028c995c64c21dad4274ef69"),
+    "disentangle_pointer": (0, "4b99af8c08378073926ced5f5c10e86b4c4fce956c1f9974992f65e459a0bf5b"),
+    "batch_validate": (3, "b8e022351a94d408112fc45fe0e9c5974aefffcba8350f811ab8b10627601f24"),
+    "batch_analyze": (3, "f1136392b312241440a505b61431d283021764b1a5b7dc912bf9653594e0f77d"),
+    "batch_disentangle": (3, "82bf543f1f29a51ea26ab62032224e09a6d9630f5a62a0de23b84c36742d781d"),
+    "bench2q": (0, "b7d79d7578f77de226a5014065de7c8f5509f906cdc7beaa1af0fd08e7b9a620"),
+}
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "batch").mkdir()
+    (root / "batch" / "junk.json").write_text("{oops", encoding="utf-8")
+    (root / "batch" / "trace.json").write_text(TRACE_BREACH, encoding="utf-8")
+    out = {}
+    cwd = os.getcwd()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QDISENT_TOL", raising=False)
+        os.chdir(root)
+        try:
+            for name, argv in CASES:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(list(argv))
+                digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+                out[name] = (code, digest)
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_report_bytes_match_golden(reports, name):
+    assert reports[name] == GOLDEN[name]
