@@ -179,7 +179,7 @@ def _load_item(path: str, tol: float):
     except StateFormatError as exc:
         return None, ({"input": path, "error": f"StateFormatError: {exc}"},
                       EXIT_FORMAT)
-    except QDisentError as exc:
+    except (QDisentError, np.linalg.LinAlgError) as exc:
         return None, ({"input": path, "error": f"{type(exc).__name__}: {exc}"},
                       EXIT_INVALID)
     return state, ({"input": path, "digest": digest,

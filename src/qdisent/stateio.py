@@ -17,6 +17,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,41 @@ def format_real(x: float) -> str:
     return format(v, ".17g")
 
 
+def _grid_leaves(grid):
+    """(width, leaves) of a regular grid of two-element list cells, else None.
+
+    The leaves come row-major, re before im.  This is the whole-grid
+    screen that the fast render and parse paths share; anything it
+    turns down goes to the per-value code, which owns every error text.
+    """
+    if set(map(type, grid)) != {list}:
+        return None
+    widths = set(map(len, grid))
+    if len(widths) != 1:
+        return None
+    cells = list(chain.from_iterable(grid))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    return widths.pop(), list(chain.from_iterable(cells))
+
+
+def _render_grid(value):
+    """Canonical text of a grid of finite ``[float, float]`` cells, else None.
+
+    The same bytes the per-value recursion gives: ``+ 0.0`` turns -0.0
+    into 0.0, which ``%.17g`` prints as ``0`` just like ``format_real``.
+    """
+    regular = _grid_leaves(value)
+    if regular is None:
+        return None
+    width, leaves = regular
+    if set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
+        return None
+    row = "[" + ", ".join(("[%.17g, %.17g]",) * width) + "]"
+    template = "[" + ", ".join((row,) * len(value)) + "]"
+    return template % tuple(map(operator.add, leaves, repeat(0.0)))
+
+
 def _render(value, pad: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -55,6 +93,9 @@ def _render(value, pad: str) -> str:
         lines.append(pad + "}")
         return "\n".join(lines)
     if isinstance(value, (list, tuple)):
+        text = _render_grid(value)
+        if text is not None:
+            return text
         if any(isinstance(v, dict) for v in value):
             inner = pad + "  "
             body = ",\n".join(inner + _render(v, inner) for v in value)
@@ -80,7 +121,8 @@ def dumps_canonical(doc: dict) -> str:
 
 def _grid(m) -> list:
     """A complex matrix as the nested ``[[re, im], ...]`` grid of a document."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    arr = np.ascontiguousarray(m, dtype=complex)
+    return arr.view(float).reshape(arr.shape + (2,)).tolist()
 
 
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:
@@ -107,9 +149,51 @@ def _want_int(value, what: str) -> int:
 def _want_real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise StateFormatError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the double range
+        real = math.inf
+    if not math.isfinite(real):
         raise StateFormatError(f"{what} must be finite, got {value!r}")
-    return float(value)
+    return real
+
+
+def _screen_grid(grid: list, n: int):
+    """The n x n complex matrix of a well-formed grid, else None.
+
+    Rows of n cells, cells of two leaves, leaves exactly ``int`` or
+    ``float`` (so no bool) and all finite.  On None the caller runs
+    ``_walk_grid``, which names the first offending row, cell or leaf.
+    """
+    regular = _grid_leaves(grid)
+    if regular is None or regular[0] != n:
+        return None
+    leaves = regular[1]
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        flat = np.array(leaves, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(complex).reshape(n, n)
+
+
+def _walk_grid(grid: list, n: int) -> np.ndarray:
+    """Cell-by-cell parse that names the first offending row, cell or leaf."""
+    rho = np.empty((n, n), dtype=complex)
+    for i, row in enumerate(grid):
+        if not isinstance(row, list) or len(row) != n:
+            raise StateFormatError(f"rho row {i} must be a list of {n} entries")
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise StateFormatError(
+                    f"rho[{i}][{j}] must be a [re, im] pair"
+                )
+            rho[i, j] = complex(_want_real(cell[0], f"rho[{i}][{j}][0]"),
+                                _want_real(cell[1], f"rho[{i}][{j}][1]"))
+    return rho
 
 
 def doc_to_matrix(doc) -> tuple[np.ndarray, tuple[int, int]]:
@@ -136,17 +220,9 @@ def doc_to_matrix(doc) -> tuple[np.ndarray, tuple[int, int]]:
     grid = doc["rho"]
     if not isinstance(grid, list) or len(grid) != n:
         raise StateFormatError(f"rho must be a list of {n} rows")
-    rho = np.empty((n, n), dtype=complex)
-    for i, row in enumerate(grid):
-        if not isinstance(row, list) or len(row) != n:
-            raise StateFormatError(f"rho row {i} must be a list of {n} entries")
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise StateFormatError(
-                    f"rho[{i}][{j}] must be a [re, im] pair"
-                )
-            rho[i, j] = complex(_want_real(cell[0], f"rho[{i}][{j}][0]"),
-                                _want_real(cell[1], f"rho[{i}][{j}][1]"))
+    rho = _screen_grid(grid, n)
+    if rho is None:
+        rho = _walk_grid(grid, n)
     meta = doc.get("meta")
     if meta is not None:
         if not isinstance(meta, dict):
@@ -173,10 +249,18 @@ def load_document(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFormatError(f"{path} nests too deeply to parse") from exc
+    except ValueError as exc:  # only int() raises it: the digit limit
+        raise StateFormatError(
+            f"{path} holds an integer longer than"
+            f" {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
     return doc

@@ -367,6 +367,33 @@ def test_non_finite_flags_exit_3(tmp_path, flags):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("cmd", ["validate", "analyze"])
+@pytest.mark.parametrize("data, text", [
+    (b'{"dims": [2, 2], "meta": {"k": "\xe9"}}\n', "is not UTF-8 text: "),
+    (b"[" * 200000 + b"]" * 200000, "nests too deeply to parse"),
+    (b'{"dims": [' + b"9" * 5000 + b', 2]}\n', "holds an integer longer than 4300 digits"),
+], ids=["non_utf8", "deep_nesting", "long_integer"])
+def test_unreadable_file_exits_3(tmp_path, cmd, data, text):
+    (tmp_path / "bad.json").write_bytes(data)
+    proc = run_subprocess(tmp_path, cmd, "bad.json")
+    assert proc.returncode == 3
+    assert f'"error": "StateFormatError: bad.json {text}' in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "disentangle"])
+def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
+    write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, doc, _ = run_json(capsys, cmd, str(tmp_path / "s.json"))
+    assert code == 1
+    assert doc["error"] == "LinAlgError: Eigenvalues did not converge"
+
+
 def test_subprocess_entry_point(tmp_path):
     proc = run_subprocess(tmp_path, "generate", "bell", "--out", "bell.json")
     assert proc.returncode == 0

@@ -3,14 +3,16 @@
 Each case runs ``qdisent.cli.main`` in-process from a fresh directory and
 records the exit code and the sha256 of stdout.  The digests were taken
 from the implementation before the batch driver and the shared
-validation helpers were factored out, so any change to the report bytes
-shows up here.  Floating-point results depend on the numpy build, so the
+validation helpers were factored out, and (for the ``errwalk`` cases)
+before the state-grid codec was vectorised, so any change to the report
+bytes or to the cell-walk error texts shows up here.  Floating-point results depend on the numpy build, so the
 digests only hold for the numpy version they were recorded with.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import numpy as np
@@ -33,6 +35,26 @@ TRACE_BREACH = (
     ' [[0, 0], [0, 0], [0, 0], [0.5, 0]]]\n}\n'
 )
 
+
+def _int_doc():
+    # |00><00| with every cell an int: a valid state
+    return {"dims": [2, 2],
+            "rho": [[[1 if i == j == 0 else 0, 0] for j in range(4)]
+                    for i in range(4)]}
+
+
+def _error_walk_files():
+    """File name -> document text for the batch that exercises the cell walk."""
+    bool_cell = _int_doc()
+    bool_cell["rho"][1][2] = [True, 0]
+    short_row = _int_doc()
+    short_row["rho"][2] = short_row["rho"][2][:3]
+    unknown_key = _int_doc()
+    unknown_key["extra"] = 1
+    docs = {"bool_cell.json": bool_cell, "ints.json": _int_doc(),
+            "short_row.json": short_row, "unknown_key.json": unknown_key}
+    return {name: json.dumps(doc) + "\n" for name, doc in docs.items()}
+
 # (name, argv), run in this order: the generate cases write the batch
 # directory that the later cases read
 CASES = (
@@ -53,6 +75,8 @@ CASES = (
     ("batch_analyze", ("analyze", "batch")),
     ("batch_disentangle", ("disentangle", "batch")),
     ("bench2q", ("bench2q", "--cases", "50")),
+    ("errwalk_validate", ("validate", "errwalk")),
+    ("errwalk_analyze", ("analyze", "errwalk")),
 )
 
 # name -> (exit code, sha256 of stdout)
@@ -68,6 +92,8 @@ GOLDEN = {
     "batch_analyze": (3, "f1136392b312241440a505b61431d283021764b1a5b7dc912bf9653594e0f77d"),
     "batch_disentangle": (3, "82bf543f1f29a51ea26ab62032224e09a6d9630f5a62a0de23b84c36742d781d"),
     "bench2q": (0, "b7d79d7578f77de226a5014065de7c8f5509f906cdc7beaa1af0fd08e7b9a620"),
+    "errwalk_validate": (3, "49b3707f4301338809eacce14037fb498f94ea49c832937b7f1d8b0044380033"),
+    "errwalk_analyze": (3, "9411d9f4e65dacdbcac54af290a87abc49003c75a73369944726c3c75beea39f"),
 }
 
 
@@ -77,6 +103,9 @@ def reports(tmp_path_factory):
     (root / "batch").mkdir()
     (root / "batch" / "junk.json").write_text("{oops", encoding="utf-8")
     (root / "batch" / "trace.json").write_text(TRACE_BREACH, encoding="utf-8")
+    (root / "errwalk").mkdir()
+    for name, text in _error_walk_files().items():
+        (root / "errwalk" / name).write_text(text, encoding="utf-8")
     out = {}
     cwd = os.getcwd()
     with pytest.MonkeyPatch.context() as mp:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisent import (
     BipartiteState,
@@ -21,6 +23,7 @@ from qdisent import (
     save_state,
     state_to_doc,
 )
+from qdisent.stateio import _grid, _screen_grid, _walk_grid
 
 
 # ---------------------------------------------------------------- round trips
@@ -286,3 +289,112 @@ def test_load_state_validates(tmp_path):
     save_state(path, state)
     back = load_state(path)
     assert np.array_equal(back.rho, state.rho)
+
+
+# ----------------------------------------------------- codec equivalence
+#
+# The grid codec formats and screens whole grids at once; the per-value
+# rules below are the reference it must match byte for byte.
+
+EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
+                1.7e308, -1.7e308, 1 / 3, 0.1)
+DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _complex_grids(rows, cols):
+    return st.lists(DOUBLES, min_size=2 * rows * cols, max_size=2 * rows * cols).map(
+        lambda xs: np.array(xs, dtype=float).view(complex).reshape(rows, cols))
+
+
+def _reference_text(m):
+    cell = lambda z: f"[{format_real(z.real)}, {format_real(z.imag)}]"
+    return "[" + ", ".join("[" + ", ".join(map(cell, row)) + "]" for row in m) + "]"
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(lambda c: _complex_grids(r, c))))
+def test_grid_render_matches_per_value_walk(m):
+    grid = _grid(m)
+    reference = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    assert repr(grid) == repr(reference)  # repr tells -0.0 from 0.0
+    assert dumps_canonical({"g": grid}) == '{\n  "g": ' + _reference_text(m) + "\n}\n"
+
+
+@settings(deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda d: st.tuples(st.just(d), _complex_grids(d[0] * d[1], d[0] * d[1]))))
+def test_grid_parse_round_trips_rendered_text(case):
+    dims, m = case
+    doc = json.loads(dumps_canonical({"dims": list(dims), "rho": _grid(m)}))
+    rho, back_dims = doc_to_matrix(doc)
+    assert back_dims == dims
+    # both zeros print as 0, so -0.0 comes back as 0.0
+    assert np.array_equal(_bits(rho), _bits(m + 0.0))
+    assert np.array_equal(_bits(rho), _bits(_walk_grid(doc["rho"], len(m))))
+
+
+LEAVES = st.one_of(DOUBLES, st.integers(-(2 ** 70), 2 ** 70),
+                   st.sampled_from((2 ** 53 + 1, -(2 ** 63), 2 ** 64 + 1, 10 ** 300)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(LEAVES, min_size=2 * n * n, max_size=2 * n * n))))
+def test_grid_screen_matches_walk_on_mixed_leaves(case):
+    n, leaves = case
+    it = iter(leaves)
+    grid = [[[next(it), next(it)] for _ in range(n)] for _ in range(n)]
+    fast = _screen_grid(grid, n)
+    assert fast is not None
+    assert np.array_equal(_bits(fast), _bits(_walk_grid(grid, n)))
+
+
+def _set_cell(i, j, cell):
+    def edit(doc):
+        doc["rho"][i][j] = cell
+    return edit
+
+
+def _shorten_row(doc):
+    doc["rho"][1] = doc["rho"][1][:3]
+
+
+def _mixed_leaves(doc):
+    doc["rho"][0][0] = [1, 0.0]
+    doc["rho"][2][1] = [0, -0.0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_cell(0, 1, [0.0, False]), "rho[0][1][1] must be a number, got False"),
+    (_set_cell(1, 2, ["0.5", 0.0]), "rho[1][2][0] must be a number, got '0.5'"),
+    (_set_cell(2, 3, None), "rho[2][3] must be a [re, im] pair"),
+    (_set_cell(3, 0, [0.0, 0.0, 0.0]), "rho[3][0] must be a [re, im] pair"),
+    (_shorten_row, "rho row 1 must be a list of 4 entries"),
+    (_set_cell(0, 3, json.loads("[1e999, 0]")), "rho[0][3][0] must be finite, got inf"),
+    (_mixed_leaves, None),
+], ids=["bool", "str", "none", "triple", "short_row", "1e999", "mixed_int_float"])
+def test_malformed_cells_keep_walk_messages(edit, message):
+    doc = _good_doc()
+    edit(doc)
+    if message is None:
+        rho, _ = doc_to_matrix(doc)
+        assert np.array_equal(_bits(rho), _bits(_walk_grid(doc["rho"], 4)))
+        return
+    with pytest.raises(StateFormatError) as info:
+        doc_to_matrix(doc)
+    assert str(info.value) == message
+
+
+def test_huge_integer_cell_is_a_format_error():
+    # valid JSON, but no double holds it
+    doc = _good_doc()
+    doc["rho"][0][1] = json.loads("[0, 1" + "0" * 400 + "]")
+    with pytest.raises(StateFormatError) as info:
+        doc_to_matrix(doc)
+    assert str(info.value) == "rho[0][1][1] must be finite, got 1" + "0" * 400
