@@ -54,6 +54,10 @@ EXIT_INVALID = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_FORMAT = 3
 
+# largest n_a * n_b that ``generate`` draws: one complex matrix is then
+# at most 16 MiB
+GENERATE_MAX_DIM = 1024
+
 _KIND_ALIASES = {
     "bell": "bell",
     "product": "pure_product",
@@ -81,10 +85,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")
 
 
-def _check_tol(value: float, name: str, shown) -> float:
-    """Reject a non-finite or non-positive tolerance; ``shown`` is echoed."""
+def _check_finite(value: float, name: str, shown) -> None:
+    """Reject a non-finite flag value; ``shown`` is echoed."""
     if not math.isfinite(value):
         raise _CliError(EXIT_FORMAT, f"{name} must be finite, got {shown}")
+
+
+def _check_at_least(value: int, low: int, name: str) -> None:
+    if value < low:
+        raise _CliError(EXIT_FORMAT, f"{name} must be >= {low}, got {value}")
+
+
+def _check_tol(value: float, name: str, shown) -> float:
+    """Reject a non-finite or non-positive tolerance; ``shown`` is echoed."""
+    _check_finite(value, name, shown)
     if value <= 0.0:
         raise _CliError(EXIT_FORMAT, f"{name} must be positive, got {shown}")
     return value
@@ -251,23 +265,21 @@ def _disentangle_item(path: str, vtol: float, spec) -> tuple[dict, int]:
     item["entropy_change"] = rep.entropy_change
     item["solver"] = _solver_doc(rep.solver)
     item["error"] = rep.error
-    if rep.error is None:
-        return item, EXIT_OK
-    if rep.error.startswith("NonConvergence"):
+    if rep.solver is not None and not rep.solver.converged:
         return item, EXIT_NONCONVERGENCE
-    return item, EXIT_INVALID
+    return item, EXIT_OK if rep.error is None else EXIT_INVALID
 
 
 def cmd_disentangle(args) -> int:
     vtol = _resolve_tol(None)
     _check_tol(args.tol, "--tol", args.tol)
-    if args.max_iter < 1:
-        raise _CliError(EXIT_FORMAT, f"--max-iter must be >= 1, got {args.max_iter}")
+    for name, value in (("--p", args.p), ("--b-re", args.b_re), ("--b-im", args.b_im)):
+        _check_finite(value, name, value)
+    _check_at_least(args.max_iter, 1, "--max-iter")
     if not 0.0 <= args.damping < 1.0:
         raise _CliError(EXIT_FORMAT,
                         f"--damping must sit in [0, 1), got {args.damping}")
-    if args.m < 1:
-        raise _CliError(EXIT_FORMAT, f"--m must be >= 1, got {args.m}")
+    _check_at_least(args.m, 1, "--m")
     spec = _method_spec(args)
     echo = (f"disentangle --method {args.method} --p {format_real(args.p)}"
             f" --b-re {format_real(args.b_re)} --b-im {format_real(args.b_im)}"
@@ -281,16 +293,21 @@ def cmd_disentangle(args) -> int:
 # ------------------------------------------------------------------ generate
 
 def cmd_generate(args) -> int:
+    _check_at_least(args.seed, 0, "--seed")
+    n_a, n_b = args.dims
+    # dims below 2 stay generate's InvalidSpec, exit 1
+    if min(n_a, n_b) >= 2 and n_a * n_b > GENERATE_MAX_DIM:
+        raise _CliError(EXIT_FORMAT, f"--dims {n_a} {n_b} exceeds the joint"
+                                     f" dimension cap {GENERATE_MAX_DIM}")
     vtol = _resolve_tol(None)
     kind = _KIND_ALIASES[args.kind]
-    spec = GenSpec(kind=kind, dims=(args.dims[0], args.dims[1]),
-                   seed=args.seed, k_terms=args.terms)
+    spec = GenSpec(kind=kind, dims=(n_a, n_b), seed=args.seed, k_terms=args.terms)
     try:
         state = generate(spec, tol=vtol)
     except QDisentError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    meta = {"kind": kind, "dims": f"{args.dims[0]}x{args.dims[1]}",
+    meta = {"kind": kind, "dims": f"{n_a}x{n_b}",
             "seed": str(args.seed)}
     if kind == "separable_mixture":
         meta["terms"] = str(args.terms)
@@ -298,10 +315,10 @@ def cmd_generate(args) -> int:
         save_state(args.out, state, meta=meta)
     except OSError as exc:
         raise _CliError(EXIT_FORMAT, f"cannot write {args.out}: {exc}") from exc
-    echo = (f"generate {kind} --dims {args.dims[0]} {args.dims[1]}"
+    echo = (f"generate {kind} --dims {n_a} {n_b}"
             f" --seed {args.seed} --terms {args.terms} --out {args.out}")
     doc = {"command": echo, "out": args.out, "digest": file_digest(args.out),
-           "dims": [args.dims[0], args.dims[1]], "kind": kind,
+           "dims": [n_a, n_b], "kind": kind,
            "seed": args.seed}
     sys.stdout.write(dumps_canonical(doc))
     return EXIT_OK
@@ -315,8 +332,8 @@ def _short(x: float) -> str:
 
 
 def cmd_bench2q(args) -> int:
-    if args.cases < 1:
-        raise _CliError(EXIT_FORMAT, f"--cases must be >= 1, got {args.cases}")
+    _check_at_least(args.cases, 1, "--cases")
+    _check_at_least(args.seed, 0, "--seed")
     rows = transcription_bench(cases=args.cases, seed=args.seed)
     print(f"two-qubit transcription bench cases={args.cases} seed={args.seed}"
           f" gate={_short(BENCH_GATE)}")
@@ -384,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("kind", choices=sorted(_KIND_ALIASES),
                    help="state family to draw from")
     g.add_argument("--dims", type=int, nargs=2, default=(2, 2),
-                   metavar=("NA", "NB"))
+                   metavar=("NA", "NB"),
+                   help=f"subsystem dimensions, NA*NB <= {GENERATE_MAX_DIM}")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--terms", type=int, default=4,
                    help="mixture terms for separable_mixture")
@@ -412,7 +430,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except QDisentError as exc:
-        # e.g. a non-finite pointer flag that cannot be echoed canonically
+        # a library error no command maps to an item, e.g. a report
+        # value that cannot be rendered canonically
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

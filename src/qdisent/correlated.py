@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -128,17 +129,13 @@ class SolverConfig:
     ``tol`` is the convergence threshold on successive-iterate
     Frobenius steps; ``damping`` blends each raw update with the
     previous iterate (0 means take the raw update); ``m_power`` is
-    applied symmetrically to both directions; ``init`` is either
-    ``"neumann"`` (start from the two partial traces) or ``"provided"``
-    with ``init_pair`` set.
+    applied symmetrically to both directions.
     """
 
     tol: float = 1e-12
     max_iter: int = 10000
     damping: float = 0.0
     m_power: int = 1
-    init: str = "neumann"
-    init_pair: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -174,22 +171,6 @@ class CorrelatedPair:
             object.__setattr__(self, name, arr)
 
 
-def _initial_pair(state: BipartiteState, cfg: SolverConfig, guard: float):
-    if cfg.init == "neumann":
-        return partial_trace(state, over="B"), partial_trace(state, over="A")
-    if cfg.init != "provided":
-        raise ValueError(f"init must be 'neumann' or 'provided', got {cfg.init!r}")
-    if cfg.init_pair is None:
-        raise ValueError("init='provided' needs init_pair")
-    a = validate_density(cfg.init_pair[0], guard)
-    b = validate_density(cfg.init_pair[1], guard)
-    if a.shape != (state.n_a, state.n_a) or b.shape != (state.n_b, state.n_b):
-        raise DimensionMismatch(
-            f"init_pair shapes {a.shape}, {b.shape} do not match dims {state.dims}"
-        )
-    return a, b
-
-
 def _check_config(cfg: SolverConfig) -> None:
     if not 0.0 <= float(cfg.damping) < 1.0:
         raise ValueError(f"damping must sit in [0, 1), got {cfg.damping}")
@@ -205,16 +186,18 @@ def fixed_point_solve(state: BipartiteState,
                       config: SolverConfig | None = None) -> CorrelatedPair:
     """Alternate the two weighted reductions until both factors settle.
 
-    Convergence is declared when both successive-iterate Frobenius
-    steps drop below ``config.tol``; the residuals of the coupled
-    equations are tracked separately in the trace log, one record per
-    sweep.  Runs out of sweeps: raises NonConvergence with the best
-    iterate (smallest max residual) attached.
+    The iteration starts from the two partial traces, the uncorrelated
+    (von Neumann) pair.  Convergence is declared when both
+    successive-iterate Frobenius steps drop below ``config.tol``; the
+    residuals of the coupled equations are tracked separately in the
+    trace log, one record per sweep.  Runs out of sweeps: raises
+    NonConvergence with the best iterate (smallest max residual)
+    attached.
     """
     cfg = config if config is not None else SolverConfig()
     _check_config(cfg)
     guard = DEFAULT_TOL  # denominator and positivity guard, not the convergence tol
-    rho_a, rho_b = _initial_pair(state, cfg, guard)
+    rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     k = int(cfg.m_power)
     _warn_power(k, state.dims)
     d = float(cfg.damping)
@@ -285,6 +268,12 @@ def disentangled_product(pair: CorrelatedPair,
 class NeumannMethod:
     """Product of the two partial traces."""
 
+    tag: ClassVar[str] = "neumann"
+
+    def factors(self, state: BipartiteState, tol: float):
+        """Return (factor_a, factor_b, solver); the solver is always None here."""
+        return partial_trace(state, over="B"), partial_trace(state, over="A"), None
+
 
 @dataclass(frozen=True)
 class PointerMethod:
@@ -293,6 +282,17 @@ class PointerMethod:
     p: float = 0.5
     b: complex = 0j
     m: int = 1
+    tag: ClassVar[str] = "pointer"
+
+    def factors(self, state: BipartiteState, tol: float):
+        """Return (factor_a, pointer, None); B must be a qubit."""
+        if state.n_b != 2:
+            raise DimensionMismatch(
+                f"pointer method needs n_b = 2, got n_b = {state.n_b}"
+            )
+        sigma = coherent_pointer(self.p, self.b, tol)
+        factor_a = correlated_local_state(state, sigma, side="A", m=self.m, tol=tol)
+        return factor_a, sigma, None
 
 
 @dataclass(frozen=True)
@@ -300,6 +300,12 @@ class CorrelatedMethod:
     """Full coupled solve."""
 
     config: SolverConfig = field(default_factory=SolverConfig)
+    tag: ClassVar[str] = "correlated"
+
+    def factors(self, state: BipartiteState, tol: float):
+        """Return (rho_a, rho_b, pair); NonConvergence propagates."""
+        pair = fixed_point_solve(state, self.config)
+        return pair.rho_a, pair.rho_b, pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,63 +324,39 @@ class DisentanglementReport:
     error: str | None = None
 
 
-def _method_tag(method) -> str:
-    if isinstance(method, NeumannMethod):
-        return "neumann"
-    if isinstance(method, PointerMethod):
-        return "pointer"
-    if isinstance(method, CorrelatedMethod):
-        return "correlated"
-    raise ValueError(f"unknown method spec {method!r}")
-
-
 def disentanglement_report(state: BipartiteState, methods,
                            tol: float = DEFAULT_TOL) -> list[DisentanglementReport]:
-    """Run each method on ``state``; failures stay inside their own entry."""
+    """Run each method on ``state``; failures stay inside their own entry.
+
+    A method is any object with a ``tag`` and a ``factors(state, tol)``
+    returning (factor_a, factor_b, solver pair or None).
+    """
     s_in = von_neumann_entropy(state.rho, tol)
     out: list[DisentanglementReport] = []
     for method in methods:
-        tag = _method_tag(method)
-        factor_a = factor_b = None
-        solver = None
-        err = None
         try:
-            if isinstance(method, NeumannMethod):
-                factor_a = partial_trace(state, over="B")
-                factor_b = partial_trace(state, over="A")
-            elif isinstance(method, PointerMethod):
-                if state.n_b != 2:
-                    raise DimensionMismatch(
-                        f"pointer method needs n_b = 2, got n_b = {state.n_b}"
-                    )
-                sigma = coherent_pointer(method.p, method.b, tol)
-                factor_a = correlated_local_state(state, sigma, side="A",
-                                                  m=method.m, tol=tol)
-                factor_b = sigma
-            else:
-                pair = fixed_point_solve(state, method.config)
-                solver = pair
-                factor_a, factor_b = pair.rho_a, pair.rho_b
+            tag, factors = method.tag, method.factors
+        except AttributeError:
+            raise ValueError(f"unknown method spec {method!r}") from None
+        factor_a = factor_b = product = frob = s_prod = solver = err = None
+        try:
+            factor_a, factor_b, solver = factors(state, tol)
         except NonConvergence as exc:
             err = f"NonConvergence: {exc}"
             solver = exc.best
-            factor_a, factor_b = exc.best.rho_a, exc.best.rho_b
+            factor_a, factor_b = solver.rho_a, solver.rho_b
         except QDisentError as exc:
             err = f"{type(exc).__name__}: {exc}"
 
-        if factor_a is None:
-            out.append(DisentanglementReport(tag, None, None, None, None,
-                                             s_in, None, None, None, err))
-            continue
-        try:
-            product = product_state(factor_a, factor_b, tol)
-            frob = float(np.linalg.norm(product.rho - state.rho))
-            s_prod = von_neumann_entropy(product.rho, tol)
-        except QDisentError as exc:
-            out.append(DisentanglementReport(tag, factor_a, factor_b, None, None,
-                                             s_in, None, None, solver,
-                                             err or f"{type(exc).__name__}: {exc}"))
-            continue
-        out.append(DisentanglementReport(tag, factor_a, factor_b, product, frob,
-                                         s_in, s_prod, s_prod - s_in, solver, err))
+        if factor_a is not None:
+            try:
+                product = product_state(factor_a, factor_b, tol)
+                frob = float(np.linalg.norm(product.rho - state.rho))
+                s_prod = von_neumann_entropy(product.rho, tol)
+            except QDisentError as exc:
+                product = frob = None
+                err = err or f"{type(exc).__name__}: {exc}"
+        out.append(DisentanglementReport(
+            tag, factor_a, factor_b, product, frob, s_in, s_prod,
+            None if s_prod is None else s_prod - s_in, solver, err))
     return out

@@ -113,6 +113,34 @@ def test_generate_bell_needs_two_qubits(tmp_path, monkeypatch, capsys):
     assert "InvalidSpec" in err
 
 
+def test_generate_dims_cap_exits_3_before_drawing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate was called past the dims cap")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qdisent.cli.generate", refuse)
+    for dims in (("300", "300"), ("2", "513")):
+        code, out, err = run(capsys, "generate", "random", "--dims", *dims,
+                             "--out", "x.json")
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: --dims {dims[0]} {dims[1]} exceeds the joint"
+                       f" dimension cap 1024\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "random", "--out", "x.json", "--seed", "-1"),
+    ("bench2q", "--seed", "-3"),
+])
+def test_negative_seed_exits_3(tmp_path, argv):
+    proc = run_subprocess(tmp_path, *argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --seed must be >= 0, got {argv[-1]}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 # ------------------------------------------------------------------ validate
 
 
@@ -357,6 +385,7 @@ def test_bench2q_small_run(capsys):
     ("analyze", "--tol", "inf"),
     ("disentangle", "--tol", "nan"),
     ("disentangle", "--method", "pointer", "--p", "nan"),
+    ("disentangle", "--method", "neumann", "--b-im", "inf"),
 ])
 def test_non_finite_flags_exit_3(tmp_path, flags):
     write_doc(tmp_path / "ok.json", [0.25, 0.25, 0.25, 0.25])
@@ -365,6 +394,8 @@ def test_non_finite_flags_exit_3(tmp_path, flags):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+    name, value = flags[-2:]
+    assert proc.stderr == f"error: {name} must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("cmd", ["validate", "analyze"])

@@ -89,14 +89,9 @@ def test_solver_config_validation():
     state = random_state((2, 2), seed=1)
     for bad in (SolverConfig(damping=1.0), SolverConfig(damping=-0.1),
                 SolverConfig(max_iter=0), SolverConfig(tol=0.0),
-                SolverConfig(m_power=0), SolverConfig(init="sideways"),
-                SolverConfig(init="provided")):
+                SolverConfig(m_power=0)):
         with pytest.raises(ValueError):
             fixed_point_solve(state, bad)
-    wrong = SolverConfig(init="provided",
-                         init_pair=(np.eye(3) / 3, np.eye(2) / 2))
-    with pytest.raises(DimensionMismatch):
-        fixed_point_solve(state, wrong)
 
 
 def test_product_input_is_an_immediate_fixed_point():
@@ -136,16 +131,6 @@ def test_damping_reaches_the_same_fixed_point():
     assert damped.converged
     assert np.abs(plain.rho_a - damped.rho_a).max() < 1e-8
     assert np.abs(plain.rho_b - damped.rho_b).max() < 1e-8
-
-
-def test_provided_init_behaves_like_neumann_start():
-    state = random_state((2, 3), seed=4)
-    base = fixed_point_solve(state)
-    seeded = fixed_point_solve(state, SolverConfig(
-        init="provided",
-        init_pair=(neumann_reduce(state, "A"), neumann_reduce(state, "B"))))
-    assert np.abs(base.rho_a - seeded.rho_a).max() < 1e-12
-    assert base.iterations == seeded.iterations
 
 
 def test_non_convergence_carries_best_iterate():
@@ -201,7 +186,7 @@ def test_report_captures_method_errors_without_raising():
     assert rep.factor_a is not None  # best iterate still reported
     assert rep.product is not None
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method spec 'bogus'"):
         disentanglement_report(state, ["bogus"])
 
 

@@ -101,12 +101,11 @@ def test_coherent_pointer_positivity_bound():
 
 def test_generate_dispatch_and_errors():
     assert set(GENERATOR_KINDS) >= {"bell", "pure_product", "separable_mixture",
-                                    "maximally_mixed", "random",
-                                    "thermal_pointer", "coherent_pointer"}
+                                    "maximally_mixed", "random"}
     bell = generate(GenSpec(kind="bell"))
     assert np.array_equal(bell.rho, bell_state().rho)
-    ptr = generate(GenSpec(kind="thermal_pointer", p=0.25))
-    assert np.array_equal(ptr, np.diag([0.25, 0.75]))
+    with pytest.raises(InvalidSpec):
+        generate(GenSpec(kind="thermal_pointer"))
     with pytest.raises(InvalidSpec):
         generate(GenSpec(kind="bell", dims=(2, 3)))
     with pytest.raises(InvalidSpec):
