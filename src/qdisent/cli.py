@@ -57,6 +57,11 @@ EXIT_FORMAT = 3
 # largest n_a * n_b that ``generate`` draws: one complex matrix is then
 # at most 16 MiB
 GENERATE_MAX_DIM = 1024
+# largest ``generate --terms`` and ``bench2q --cases``: the work of both
+# grows linearly with the count, and at these caps each command takes
+# seconds at 2x2 (about 1 s and 4 s on a 2-core VM)
+GENERATE_MAX_TERMS = 10000
+BENCH2Q_MAX_CASES = 10000
 
 _KIND_ALIASES = {
     "bell": "bell",
@@ -94,6 +99,11 @@ def _check_finite(value: float, name: str, shown) -> None:
 def _check_at_least(value: int, low: int, name: str) -> None:
     if value < low:
         raise _CliError(EXIT_FORMAT, f"{name} must be >= {low}, got {value}")
+
+
+def _check_at_most(value: int, high: int, name: str) -> None:
+    if value > high:
+        raise _CliError(EXIT_FORMAT, f"{name} {value} exceeds the cap {high}")
 
 
 def _check_tol(value: float, name: str, shown) -> float:
@@ -299,6 +309,7 @@ def cmd_generate(args) -> int:
     if min(n_a, n_b) >= 2 and n_a * n_b > GENERATE_MAX_DIM:
         raise _CliError(EXIT_FORMAT, f"--dims {n_a} {n_b} exceeds the joint"
                                      f" dimension cap {GENERATE_MAX_DIM}")
+    _check_at_most(args.terms, GENERATE_MAX_TERMS, "--terms")
     vtol = _resolve_tol(None)
     kind = _KIND_ALIASES[args.kind]
     spec = GenSpec(kind=kind, dims=(n_a, n_b), seed=args.seed, k_terms=args.terms)
@@ -333,6 +344,7 @@ def _short(x: float) -> str:
 
 def cmd_bench2q(args) -> int:
     _check_at_least(args.cases, 1, "--cases")
+    _check_at_most(args.cases, BENCH2Q_MAX_CASES, "--cases")
     _check_at_least(args.seed, 0, "--seed")
     rows = transcription_bench(cases=args.cases, seed=args.seed)
     print(f"two-qubit transcription bench cases={args.cases} seed={args.seed}"
@@ -405,13 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"subsystem dimensions, NA*NB <= {GENERATE_MAX_DIM}")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--terms", type=int, default=4,
-                   help="mixture terms for separable_mixture")
+                   help=f"mixture terms for separable_mixture,"
+                        f" at most {GENERATE_MAX_TERMS}")
     g.add_argument("--out", required=True, help="output path")
     g.set_defaults(func=cmd_generate)
 
     b = sub.add_parser("bench2q",
                        help="closed-form vs generic-route deviation table")
-    b.add_argument("--cases", type=int, default=1000)
+    b.add_argument("--cases", type=int, default=1000,
+                   help=f"random states to draw, at most {BENCH2Q_MAX_CASES}")
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bench2q)
 

@@ -176,8 +176,16 @@ class BipartiteState:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product on the flat product basis (A-major index)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices on the flat product basis (A-major index).
+
+    The same elementwise multiply ``np.kron`` does, broadcast over
+    ``(a_row, b_row, a_col, b_col)``, so the bits match it, signed
+    zeros included, without its per-call shape bookkeeping.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def product_state(rho_a, rho_b, tol: float = DEFAULT_TOL) -> BipartiteState:
@@ -232,7 +240,7 @@ def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:
             f"op has shape {arr.shape}, expected ({n}, {n}) for side {side}"
         )
     eye = np.eye(rest, dtype=complex)
-    return np.kron(arr, eye) if side == "A" else np.kron(eye, arr)
+    return tensor_product(arr, eye) if side == "A" else tensor_product(eye, arr)
 
 
 def validate_projector(p, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -11,6 +11,7 @@ trace, so the ordinary reduction is the uncorrelated special case.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -26,9 +27,9 @@ from .core import (
     ZeroDenominator,
     _hermiticity_defect,
     _ptrace,
-    embed_local,
     partial_trace,
     product_state,
+    tensor_product,
     validate_density,
 )
 from .criteria import von_neumann_entropy
@@ -56,19 +57,36 @@ def _warn_power(m: int, dims: tuple[int, int]) -> None:
         )
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array, the formula ``np.linalg.norm`` uses."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _identities(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The identity on each subsystem, made once per call for its half-steps."""
+    return np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex)
+
+
 def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
-                        partner_pow: np.ndarray, side: str, tol: float):
+                        partner_pow: np.ndarray, side: str, tol: float,
+                        eyes: tuple[np.ndarray, np.ndarray]):
     """One half-step: trace against the powered partner, renormalize.
 
-    Returns (factor, hermiticity_defect, min_eigenvalue).  The raw
-    quotient is hermitized as (M + M^dag)/2; eigenvalues in (-tol, 0)
-    are clamped to zero at normalization, anything lower raises
-    NotPSDResult instead of silently projecting.
+    ``eyes`` is ``_identities(dims)``; the caller checked every shape,
+    so the partner is lifted to the joint space directly.  Returns
+    (factor, hermiticity_defect, min_eigenvalue).  The raw quotient is
+    hermitized as (M + M^dag)/2; eigenvalues in (-tol, 0) are clamped
+    to zero at normalization, anything lower raises NotPSDResult
+    instead of silently projecting.
     """
-    other = "B" if side == "A" else "A"
-    big = embed_local(partner_pow, other, dims)
+    if side == "A":
+        other, big = "B", tensor_product(eyes[0], partner_pow)
+    else:
+        other, big = "A", tensor_product(partner_pow, eyes[1])
     num = _ptrace(rho @ big, dims[0], dims[1], over=other)
-    den = float(np.trace(num).real)
+    den = float(num.trace().real)
     if den <= tol:
         raise ZeroDenominator(
             f"weighted trace {den:.3e} is not above tol {tol:.3e}"
@@ -85,7 +103,7 @@ def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
     if min_eig < 0.0:
         w = np.clip(w, 0.0, None)
         m = (v * w) @ v.conj().T
-        m = m / float(np.trace(m).real)
+        m = m / float(m.trace().real)
     return m, defect, min_eig
 
 
@@ -118,7 +136,7 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
         )
     _warn_power(k, state.dims)
     factor, _, _ = _weighted_reduction(state.rho, state.dims, _power(sigma, k),
-                                       side, tol)
+                                       side, tol, _identities(state.dims))
     return factor
 
 
@@ -201,6 +219,7 @@ def fixed_point_solve(state: BipartiteState,
     k = int(cfg.m_power)
     _warn_power(k, state.dims)
     d = float(cfg.damping)
+    eyes = _identities(state.dims)
 
     records: list[IterationRecord] = []
     best = None
@@ -208,23 +227,23 @@ def fixed_point_solve(state: BipartiteState,
     # F_A at the current rho_b, carried across sweeps so the residual
     # evaluation doubles as the next raw update
     raw_a, defect_a, min_a = _weighted_reduction(
-        state.rho, state.dims, _power(rho_b, k), "A", guard)
+        state.rho, state.dims, _power(rho_b, k), "A", guard, eyes)
 
     for it in range(1, int(cfg.max_iter) + 1):
         new_a = raw_a if d == 0.0 else (1.0 - d) * raw_a + d * rho_a
-        step_a = float(np.linalg.norm(new_a - rho_a))
+        step_a = _frobenius(new_a - rho_a)
         rho_a = new_a
 
         raw_b, defect_b, min_b = _weighted_reduction(
-            state.rho, state.dims, _power(rho_a, k), "B", guard)
+            state.rho, state.dims, _power(rho_a, k), "B", guard, eyes)
         new_b = raw_b if d == 0.0 else (1.0 - d) * raw_b + d * rho_b
-        step_b = float(np.linalg.norm(new_b - rho_b))
-        res_b = float(np.linalg.norm(new_b - raw_b))
+        step_b = _frobenius(new_b - rho_b)
+        res_b = _frobenius(new_b - raw_b)
         rho_b = new_b
 
         raw_a, next_defect_a, next_min_a = _weighted_reduction(
-            state.rho, state.dims, _power(rho_b, k), "A", guard)
-        res_a = float(np.linalg.norm(rho_a - raw_a))
+            state.rho, state.dims, _power(rho_b, k), "A", guard, eyes)
+        res_a = _frobenius(rho_a - raw_a)
 
         records.append(IterationRecord(step_a, step_b, res_a, res_b,
                                        defect_a, defect_b, min_a, min_b))
@@ -253,8 +272,9 @@ def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
     a = np.asarray(rho_a, dtype=complex)
     b = np.asarray(rho_b, dtype=complex)
     k = int(m)
-    fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol)
-    fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol)
+    eyes = _identities(state.dims)
+    fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol, eyes)
+    fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol, eyes)
     return float(np.linalg.norm(a - fa)), float(np.linalg.norm(b - fb))
 
 

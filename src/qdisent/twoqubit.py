@@ -22,6 +22,7 @@ from .core import (
     BipartiteState,
     DimensionMismatch,
     ZeroDenominator,
+    tensor_product,
 )
 from .correlated import correlated_local_state
 from .reductions import averaged_projective_state
@@ -199,7 +200,7 @@ def transcription_bench(cases: int = 1000, seed: int = 0) -> list[BenchRow]:
         sig_d = thermal_pointer(p)
         ref_local = averaged_projective_state(state, np.array([p, 1.0 - p]))
         track("diagonal local", diagonal_pointer_local(state.rho, p), ref_local)
-        ref_prod = np.kron(ref_local, sig_d)
+        ref_prod = tensor_product(ref_local, sig_d)
         track("diagonal product", diagonal_pointer_product(state.rho, p), ref_prod)
         track("diagonal product literal",
               diagonal_pointer_product(state.rho, p, literal=True), ref_prod)
@@ -207,7 +208,7 @@ def transcription_bench(cases: int = 1000, seed: int = 0) -> list[BenchRow]:
         sig_c = coherent_pointer(p, b)
         ref_local = correlated_local_state(state, sig_c, side="A", m=1)
         track("coherent local", coherent_pointer_local(state.rho, p, b), ref_local)
-        ref_prod = np.kron(ref_local, sig_c)
+        ref_prod = tensor_product(ref_local, sig_c)
         track("coherent product", coherent_pointer_product(state.rho, p, b),
               ref_prod)
         track("coherent product literal",

@@ -129,6 +129,26 @@ def test_generate_dims_cap_exits_3_before_drawing(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "x.json").exists()
 
 
+def test_count_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past a count cap")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qdisent.cli.generate", refuse)
+    monkeypatch.setattr("qdisent.cli.transcription_bench", refuse)
+    for argv, line in (
+        (("generate", "separable", "--terms", "10001", "--out", "x.json"),
+         "error: --terms 10001 exceeds the cap 10000\n"),
+        (("generate", "bell", "--terms", "1000000000", "--out", "x.json"),
+         "error: --terms 1000000000 exceeds the cap 10000\n"),
+        (("bench2q", "--cases", "10001"),
+         "error: --cases 10001 exceeds the cap 10000\n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", line)
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "random", "--out", "x.json", "--seed", "-1"),
     ("bench2q", "--seed", "-3"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisent.core import (
     BipartiteState,
@@ -29,6 +31,50 @@ def test_tensor_product_matches_kron():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1j], [-1j, 0]])
     assert np.array_equal(tensor_product(a, b), np.kron(a, b))
+
+
+# entries a product can meet: random complex, exact zeros of every sign
+ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+KINDS = ("complex", "real", "negated real")
+SIDES = st.integers(1, 6)
+
+
+def _matrix(shape, seed, kind):
+    """A random matrix with about a third of its entries zeroed, signs mixed."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    holes = rng.random(shape) < 0.3
+    m[holes] = rng.choice(np.array(ZEROS), size=int(holes.sum()))
+    if kind == "real":
+        return m.real.copy()
+    if kind == "negated real":
+        return -m.real
+    return m
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIDES, SIDES, SIDES, SIDES, st.integers(0, 2**32 - 1),
+       st.sampled_from(KINDS), st.sampled_from(KINDS))
+def test_tensor_product_is_bit_identical_to_kron(ra, ca, rb, cb, seed, kind_a, kind_b):
+    a = _matrix((ra, ca), seed, kind_a)
+    b = _matrix((rb, cb), seed + 1, kind_b)
+    want = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    assert _same_bits(tensor_product(a, b), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIDES, SIDES, st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+def test_embed_local_is_bit_identical_to_kron_with_identity(n, rest, seed, kind):
+    op = _matrix((n, n), seed, kind)
+    arr = np.asarray(op, dtype=complex)
+    eye = np.eye(rest, dtype=complex)
+    assert _same_bits(embed_local(op, "A", (n, rest)), np.kron(arr, eye))
+    assert _same_bits(embed_local(op, "B", (rest, n)), np.kron(eye, arr))
 
 
 def test_partial_trace_splits_product_states():

@@ -3,9 +3,12 @@
 Each case runs ``qdisent.cli.main`` in-process from a fresh directory and
 records the exit code and the sha256 of stdout.  The digests were taken
 from the implementation before the batch driver and the shared
-validation helpers were factored out, and (for the ``errwalk`` cases)
-before the state-grid codec was vectorised, so any change to the report
-bytes or to the cell-walk error texts shows up here.  Floating-point results depend on the numpy build, so the
+validation helpers were factored out, (for the ``errwalk`` cases)
+before the state-grid codec was vectorised, and (for the ``wide`` cases)
+before the tensor product and the solver half-step lost ``np.kron``, so
+any change to the report bytes or to the cell-walk error texts shows up
+here.  The ``wide`` cases cover a 4x4 solve, a powered and damped solve
+and a powered pointer reduction on a 3x2 state.  Floating-point results depend on the numpy build, so the
 digests only hold for the numpy version they were recorded with.
 """
 
@@ -77,6 +80,16 @@ CASES = (
     ("bench2q", ("bench2q", "--cases", "50")),
     ("errwalk_validate", ("validate", "errwalk")),
     ("errwalk_analyze", ("analyze", "errwalk")),
+    ("wide_generate_random44", ("generate", "random", "--dims", "4", "4",
+                                "--seed", "11", "--out", "wide/random44.json")),
+    ("wide_generate_random32", ("generate", "random", "--dims", "3", "2",
+                                "--seed", "12", "--out", "wide/random32.json")),
+    ("wide_disentangle", ("disentangle", "wide/random44.json")),
+    ("wide_disentangle_m2_damped", ("disentangle", "--m", "2", "--damping", "0.3",
+                                    "wide/random44.json")),
+    ("wide_pointer_m2", ("disentangle", "--method", "pointer", "--m", "2",
+                         "wide/random32.json")),
+    ("wide_analyze", ("analyze", "wide/random44.json")),
 )
 
 # name -> (exit code, sha256 of stdout)
@@ -94,6 +107,12 @@ GOLDEN = {
     "bench2q": (0, "b7d79d7578f77de226a5014065de7c8f5509f906cdc7beaa1af0fd08e7b9a620"),
     "errwalk_validate": (3, "49b3707f4301338809eacce14037fb498f94ea49c832937b7f1d8b0044380033"),
     "errwalk_analyze": (3, "9411d9f4e65dacdbcac54af290a87abc49003c75a73369944726c3c75beea39f"),
+    "wide_generate_random44": (0, "599c26f48c603f4d5534d6c04ecdc9c0787507ec883882fefaad9ffd71b15569"),
+    "wide_generate_random32": (0, "ef22473901f2d1735b85072ab1d003e22210f55c0fb4def0094e4866b3f7a385"),
+    "wide_disentangle": (0, "29cc9829427c89bec713e600c41927c8804fbba716f1ea485df5312be98e6f53"),
+    "wide_disentangle_m2_damped": (0, "24a91df9c0dd6e0c3f0d3755d0e6e204285f5c329e4e8c767dce1b78a1be4818"),
+    "wide_pointer_m2": (0, "60ecc7edb58ee9798992babe2bb2f5bf0d0ceadcc6554644859866bcf3ffcd8a"),
+    "wide_analyze": (1, "09ca453646eb38c13f3c60a1993287828f3cd56688ee8fa65246ecdfe34b8931"),
 }
 
 
@@ -104,6 +123,7 @@ def reports(tmp_path_factory):
     (root / "batch" / "junk.json").write_text("{oops", encoding="utf-8")
     (root / "batch" / "trace.json").write_text(TRACE_BREACH, encoding="utf-8")
     (root / "errwalk").mkdir()
+    (root / "wide").mkdir()
     for name, text in _error_walk_files().items():
         (root / "errwalk" / name).write_text(text, encoding="utf-8")
     out = {}

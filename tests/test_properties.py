@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from qdisent.cli import main
 from qdisent.core import partial_trace, product_state
 from qdisent.correlated import fixed_point_residuals, fixed_point_solve
+from qdisent.criteria import ppt_test, reduction_criterion_test
 from qdisent.stateio import save_state
-from qdisent.states import random_density, random_state
+from qdisent.states import random_density, random_state, separable_mixture
 
 DIMS = st.tuples(st.integers(2, 5), st.integers(2, 5))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -33,6 +34,16 @@ def test_converged_solve_resubstitutes(dims, seed):
     pair = fixed_point_solve(state)
     assert pair.converged
     assert max(fixed_point_residuals(state, pair.rho_a, pair.rho_b)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(DIMS, SEEDS, st.integers(1, 8))
+def test_separable_mixtures_pass_ppt_and_reduction(dims, seed, terms):
+    # Peres (quant-ph/9604005) and Horodecki (quant-ph/9708015): both
+    # are necessary conditions, so every separable state passes them
+    state = separable_mixture(dims, seed, k_terms=terms)
+    assert ppt_test(state).passed
+    assert reduction_criterion_test(state, mode="standard").passed
 
 
 # Every numeric flag, each after the arguments that make it matter.  The
