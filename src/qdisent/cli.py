@@ -62,6 +62,10 @@ GENERATE_MAX_DIM = 1024
 # seconds at 2x2 (about 1 s and 4 s on a 2-core VM)
 GENERATE_MAX_TERMS = 10000
 BENCH2Q_MAX_CASES = 10000
+# largest ``generate`` work, terms * (n_a * n_b)**2: each mixture term
+# adds one joint-size tensor product, about 20 ns per entry, so the cap
+# is about 2 s of term work (on a 2-core VM) at any dims
+GENERATE_MAX_WORK = 10**8
 
 _KIND_ALIASES = {
     "bell": "bell",
@@ -172,10 +176,10 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
         return item, EXIT_FORMAT
     item["dims"] = [dims[0], dims[1]]
     try:
-        check = density_defects(rho)
-        item["hermiticity_defect"] = check.hermiticity_defect
-        item["trace_defect"] = check.trace_defect
-        item["min_eigenvalue"] = check.min_eigenvalue
+        # an empty grid (a zero dim) has no defects; BipartiteState
+        # names the dims it rejects
+        if rho.size:
+            item.update(dataclasses.asdict(density_defects(rho)))
         BipartiteState(rho, dims, tol=tol)
     except (QDisentError, np.linalg.LinAlgError) as exc:
         item["valid"] = False
@@ -306,10 +310,15 @@ def cmd_generate(args) -> int:
     _check_at_least(args.seed, 0, "--seed")
     n_a, n_b = args.dims
     # dims below 2 stay generate's InvalidSpec, exit 1
-    if min(n_a, n_b) >= 2 and n_a * n_b > GENERATE_MAX_DIM:
+    sized = min(n_a, n_b) >= 2
+    if sized and n_a * n_b > GENERATE_MAX_DIM:
         raise _CliError(EXIT_FORMAT, f"--dims {n_a} {n_b} exceeds the joint"
                                      f" dimension cap {GENERATE_MAX_DIM}")
     _check_at_most(args.terms, GENERATE_MAX_TERMS, "--terms")
+    work = args.terms * (n_a * n_b) ** 2
+    if sized and work > GENERATE_MAX_WORK:
+        raise _CliError(EXIT_FORMAT, f"--terms {args.terms} x (NA*NB)^2 = {work}"
+                                     f" exceeds the work cap {GENERATE_MAX_WORK}")
     vtol = _resolve_tol(None)
     kind = _KIND_ALIASES[args.kind]
     spec = GenSpec(kind=kind, dims=(n_a, n_b), seed=args.seed, k_terms=args.terms)
@@ -417,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"subsystem dimensions, NA*NB <= {GENERATE_MAX_DIM}")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--terms", type=int, default=4,
-                   help=f"mixture terms for separable_mixture,"
-                        f" at most {GENERATE_MAX_TERMS}")
+                   help=f"mixture terms for separable_mixture, at most"
+                        f" {GENERATE_MAX_TERMS} and at most"
+                        f" {GENERATE_MAX_WORK} / (NA*NB)^2")
     g.add_argument("--out", required=True, help="output path")
     g.set_defaults(func=cmd_generate)
 

@@ -8,6 +8,7 @@ regime is small dimensions (joint dimension up to a few dozen).
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -62,14 +63,22 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise distance between ``m`` and its conjugate transpose."""
-    return float(np.abs(m - m.conj().T).max())
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array: numpy's own ``sqrt(re.re + im.im)``, same bits."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Return (largest entrywise distance from ``m`` to ``m^dag``, ``(m + m^dag)/2``)."""
+    mh = m.conj().T
+    return float(np.abs(m - mh).max()), (m + mh) / 2.0
 
 
 def _require_hermitian(arr: np.ndarray, tol: float, what: str = "") -> None:
     """Raise NotHermitian, message prefixed by ``what``, if the defect exceeds tol."""
-    defect = _hermiticity_defect(arr)
+    defect, _ = _hermitize(arr)
     if defect > tol:
         raise NotHermitian(f"{what}hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
 
@@ -82,13 +91,6 @@ class DensityCheck:
     trace_defect: float
     min_eigenvalue: float
 
-    def ok(self, tol: float = DEFAULT_TOL) -> bool:
-        return (
-            self.hermiticity_defect <= tol
-            and self.trace_defect <= tol
-            and self.min_eigenvalue >= -tol
-        )
-
 
 def density_defects(rho) -> DensityCheck:
     """Measure how far ``rho`` is from being a density matrix.
@@ -98,9 +100,8 @@ def density_defects(rho) -> DensityCheck:
     matrix.
     """
     m = _as_square(rho)
-    herm = _hermiticity_defect(m)
+    herm, sym = _hermitize(m)
     trace = float(abs(m.trace() - 1.0))
-    sym = (m + m.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     return DensityCheck(herm, trace, min_eig)
 

@@ -11,7 +11,6 @@ trace, so the ordinary reduction is the uncorrelated special case.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -25,7 +24,8 @@ from .core import (
     NotPSDResult,
     QDisentError,
     ZeroDenominator,
-    _hermiticity_defect,
+    _frobenius,
+    _hermitize,
     _ptrace,
     partial_trace,
     product_state,
@@ -57,13 +57,6 @@ def _warn_power(m: int, dims: tuple[int, int]) -> None:
         )
 
 
-def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm of a complex array, the formula ``np.linalg.norm`` uses."""
-    x = x.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _identities(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The identity on each subsystem, made once per call for its half-steps."""
     return np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex)
@@ -91,9 +84,7 @@ def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
         raise ZeroDenominator(
             f"weighted trace {den:.3e} is not above tol {tol:.3e}"
         )
-    m = num / den
-    defect = _hermiticity_defect(m)
-    m = (m + m.conj().T) / 2.0
+    defect, m = _hermitize(num / den)
     w, v = np.linalg.eigh(m)
     min_eig = float(w[0])
     if min_eig < -tol:
@@ -275,13 +266,7 @@ def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
     eyes = _identities(state.dims)
     fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol, eyes)
     fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol, eyes)
-    return float(np.linalg.norm(a - fa)), float(np.linalg.norm(b - fb))
-
-
-def disentangled_product(pair: CorrelatedPair,
-                         tol: float = DEFAULT_TOL) -> BipartiteState:
-    """Tensor the two factors back into a joint (product) state."""
-    return product_state(pair.rho_a, pair.rho_b, tol)
+    return _frobenius(a - fa), _frobenius(b - fb)
 
 
 @dataclass(frozen=True)
@@ -371,7 +356,7 @@ def disentanglement_report(state: BipartiteState, methods,
         if factor_a is not None:
             try:
                 product = product_state(factor_a, factor_b, tol)
-                frob = float(np.linalg.norm(product.rho - state.rho))
+                frob = _frobenius(product.rho - state.rho)
                 s_prod = von_neumann_entropy(product.rho, tol)
             except QDisentError as exc:
                 product = frob = None

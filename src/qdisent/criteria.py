@@ -193,11 +193,10 @@ class SeparabilityVerdict:
 
 
 def separability_verdict(state: BipartiteState, mode: str = "standard",
-                         tol: float = DEFAULT_TOL,
-                         slack: float = SUBADDITIVITY_SLACK) -> SeparabilityVerdict:
+                         tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     ppt = ppt_test(state, tol)
     red = reduction_criterion_test(state, mode=mode, tol=tol)
-    sub = subadditivity_check(state, slack=slack, tol=tol)
+    sub = subadditivity_check(state, tol=tol)
     return SeparabilityVerdict(
         ppt_min_eig=ppt.min_eigenvalue,
         ppt_pass=ppt.passed,

@@ -17,6 +17,7 @@ from .core import (
     ZeroDenominator,
     ZeroProbability,
     _as_square,
+    _frobenius,
     partial_trace,
     tensor_product,
     validate_projector,
@@ -118,4 +119,4 @@ def neumann_equivalence_gap(state: BipartiteState, probs,
     """
     avg = averaged_projective_state(state, probs, tol)
     red = partial_trace(state, over="B")
-    return float(np.linalg.norm(avg - red))
+    return _frobenius(avg - red)

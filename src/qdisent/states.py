@@ -19,6 +19,7 @@ from .core import (
     BipartiteState,
     InvalidPointer,
     InvalidSpec,
+    _frobenius,
     tensor_product,
 )
 
@@ -55,7 +56,7 @@ def random_ket(dim: int, seed=0) -> np.ndarray:
     """Normalized complex Gaussian vector."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / _frobenius(v)
 
 
 def random_density(dim: int, seed=0) -> np.ndarray:

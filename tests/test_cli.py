@@ -143,6 +143,10 @@ def test_count_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys):
          "error: --terms 1000000000 exceeds the cap 10000\n"),
         (("bench2q", "--cases", "10001"),
          "error: --cases 10001 exceeds the cap 10000\n"),
+        (("generate", "separable", "--dims", "32", "32", "--terms", "10000",
+          "--out", "x.json"),
+         "error: --terms 10000 x (NA*NB)^2 = 10485760000 exceeds the work cap"
+         " 100000000\n"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", line)
@@ -174,6 +178,26 @@ def test_validate_trace_breach(tmp_path, monkeypatch, capsys):
     # defects still reported for the bad file
     assert abs(report["trace_defect"] - 1.0) < 1e-12
     assert report["hermiticity_defect"] == 0
+
+
+def test_validate_zero_dim_is_an_invalid_item(tmp_path):
+    (tmp_path / "z.json").write_text('{"dims": [0, 5], "rho": []}')
+    proc = run_subprocess(tmp_path, "validate", "z.json")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert report["valid"] is False
+    assert report["error"] == ("DimensionMismatch: both subsystem dimensions"
+                               " must be >= 2, got (0, 5)")
+    # a one-dim grid is not empty, so its defects are still listed
+    (tmp_path / "one.json").write_text(dumps_canonical(
+        {"dims": [1, 2], "rho": [[[0.5, 0.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [0.5, 0.0]]]}))
+    proc = run_subprocess(tmp_path, "validate", "one.json")
+    report = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert report["min_eigenvalue"] == 0.5
+    assert report["error"] == ("DimensionMismatch: both subsystem dimensions"
+                               " must be >= 2, got (1, 2)")
 
 
 def test_validate_malformed_file(tmp_path, monkeypatch, capsys):

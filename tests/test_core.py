@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdisent
 from qdisent.core import (
     BipartiteState,
+    DensityCheck,
     DimensionMismatch,
     NotHermitian,
     NotPSD,
     TraceNotOne,
+    _frobenius,
+    _hermitize,
     density_defects,
     embed_local,
     hermitian_eigenvalues,
@@ -77,6 +81,32 @@ def test_embed_local_is_bit_identical_to_kron_with_identity(n, rest, seed, kind)
     assert _same_bits(embed_local(op, "B", (rest, n)), np.kron(eye, arr))
 
 
+@settings(max_examples=200, deadline=None)
+@given(SIDES, SIDES, st.booleans(), st.integers(0, 2**32 - 1))
+def test_frobenius_is_bit_identical_to_linalg_norm(rows, cols, flat, seed):
+    x = _matrix((rows, cols), seed, "complex")
+    if flat:
+        x = x.ravel()
+    got, want = np.float64(_frobenius(x)), np.linalg.norm(x)
+    assert got.view(np.uint64) == want.view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIDES, st.integers(0, 2**32 - 1))
+def test_hermitize_is_bit_identical_to_the_two_sided_formula(n, seed):
+    m = _matrix((n, n), seed, "complex")
+    defect, sym = _hermitize(m)
+    want = np.abs(m - m.conj().T).max()
+    assert np.float64(defect).view(np.uint64) == want.view(np.uint64)
+    assert _same_bits(sym, (m + m.conj().T) / 2)
+
+
+def test_all_names_resolve_once():
+    assert len(qdisent.__all__) == len(set(qdisent.__all__))
+    for name in qdisent.__all__:
+        assert hasattr(qdisent, name), name
+
+
 def test_partial_trace_splits_product_states():
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -135,7 +165,7 @@ def test_density_defects_reports_each_failure():
     assert abs(trace.trace_defect - 0.2) < 1e-15
     negative = density_defects(np.diag([1.5, -0.5]))
     assert abs(negative.min_eigenvalue + 0.5) < 1e-12
-    assert density_defects(np.eye(2) / 2).ok(1e-12)
+    assert density_defects(np.eye(2) / 2) == DensityCheck(0.0, 0.0, 0.5)
 
 
 def test_validate_density_error_order():

@@ -14,7 +14,6 @@ from qdisent.correlated import (
     PointerMethod,
     SolverConfig,
     correlated_local_state,
-    disentangled_product,
     disentanglement_report,
     fixed_point_residuals,
     fixed_point_solve,
@@ -102,7 +101,7 @@ def test_product_input_is_an_immediate_fixed_point():
         assert pair.converged
         assert pair.iterations <= 2
         assert max(pair.residual_a, pair.residual_b) < 1e-12
-        prod = disentangled_product(pair)
+        prod = product_state(pair.rho_a, pair.rho_b)
         assert np.abs(prod.rho - state.rho).max() < 1e-12
 
 
