@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -23,7 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, BipartiteState, QDisentError, density_defects
+from .core import (
+    DEFAULT_TOL,
+    BipartiteState,
+    QDisentError,
+    _bipartite_matrix,
+    _require_density,
+    density_defects,
+)
 from .correlated import (
     CorrelatedMethod,
     CorrelatedPair,
@@ -176,11 +184,14 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
         return item, EXIT_FORMAT
     item["dims"] = [dims[0], dims[1]]
     try:
-        # an empty grid (a zero dim) has no defects; BipartiteState
-        # names the dims it rejects
+        # an empty grid (a zero dim) has no defects; the dims check
+        # names the dims it rejects before the defects are needed
+        check = None
         if rho.size:
-            item.update(dataclasses.asdict(density_defects(rho)))
-        BipartiteState(rho, dims, tol=tol)
+            check = density_defects(rho)
+            item.update(dataclasses.asdict(check))
+        _bipartite_matrix(rho, dims)
+        _require_density(check, tol)
     except (QDisentError, np.linalg.LinAlgError) as exc:
         item["valid"] = False
         item["error"] = f"{type(exc).__name__}: {exc}"
@@ -375,6 +386,7 @@ def cmd_bench2q(args) -> int:
 # -------------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on each call; ``main`` reuses one, see ``_parser``."""
     parser = _Parser(prog="qdisent",
                      description="Bipartite density-matrix analysis toolbox.")
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
@@ -442,10 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses in a process.
+
+    ``parse_args`` leaves a parser unchanged, and every setting a
+    command reads at run time (``QDISENT_TOL``) is read by the command,
+    so sharing it is safe.  Built on first use, not at import.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_FORMAT
     try:

@@ -9,7 +9,7 @@ regime is small dimensions (joint dimension up to a few dozen).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,12 @@ def _frobenius(x: np.ndarray) -> float:
 
 
 def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Return (largest entrywise distance from ``m`` to ``m^dag``, ``(m + m^dag)/2``)."""
+    """Return (largest entrywise distance from ``m`` to ``m^dag``, ``(m + m^dag)/2``).
+
+    An empty ``m`` has no such distance and raises DimensionMismatch.
+    """
+    if not m.size:
+        raise DimensionMismatch(f"matrix must be non-empty, got shape {m.shape}")
     mh = m.conj().T
     return float(np.abs(m - mh).max()), (m + mh) / 2.0
 
@@ -92,6 +97,25 @@ class DensityCheck:
     min_eigenvalue: float
 
 
+def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray | None]:
+    """``density_defects`` of a square array, plus the ascending spectrum it solved.
+
+    The spectrum is that of the hermitized matrix, so it is returned
+    only when the hermitization is ``m`` bit for bit (equal values and
+    equal sign bits); then it is also ``eigvalsh(m)`` bit for bit.  A
+    zero hermiticity defect is not enough: a zero whose sign differs
+    from its mirror's changes the hermitized bits, and LAPACK's last
+    bits with them.  Otherwise None.
+    """
+    herm, sym = _hermitize(m)
+    trace = float(abs(m.trace() - 1.0))
+    w = np.linalg.eigvalsh(sym)
+    exact = (herm == 0.0 and np.array_equal(sym, m)
+             and np.array_equal(np.signbit(sym.real), np.signbit(m.real))
+             and np.array_equal(np.signbit(sym.imag), np.signbit(m.imag)))
+    return DensityCheck(herm, trace, float(w[0])), (w if exact else None)
+
+
 def density_defects(rho) -> DensityCheck:
     """Measure how far ``rho`` is from being a density matrix.
 
@@ -99,21 +123,11 @@ def density_defects(rho) -> DensityCheck:
     ``|tr(rho) - 1|`` and the smallest eigenvalue of the hermitized
     matrix.
     """
-    m = _as_square(rho)
-    herm, sym = _hermitize(m)
-    trace = float(abs(m.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return DensityCheck(herm, trace, min_eig)
+    return _density_spectrum(_as_square(rho))[0]
 
 
-def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return ``rho`` as a complex array, or raise if it is not a state.
-
-    Checks hermiticity, unit trace and positive semidefiniteness, in
-    that order, each within ``tol``.
-    """
-    m = _as_square(rho)
-    check = density_defects(m)
+def _require_density(check: DensityCheck, tol: float) -> None:
+    """Raise for the first of hermiticity, unit trace and PSD that ``check`` breaches."""
     if check.hermiticity_defect > tol:
         raise NotHermitian(
             f"hermiticity defect {check.hermiticity_defect:.3e} exceeds tol {tol:.3e}"
@@ -126,7 +140,38 @@ def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise NotPSD(
             f"smallest eigenvalue {check.min_eigenvalue:.3e} is below -tol {-tol:.3e}"
         )
+
+
+def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Return ``rho`` as a complex array, or raise if it is not a state.
+
+    Checks hermiticity, unit trace and positive semidefiniteness, in
+    that order, each within ``tol``.
+    """
+    m = _as_square(rho)
+    _require_density(density_defects(m), tol)
     return m
+
+
+def _bipartite_matrix(rho, dims) -> tuple[np.ndarray, tuple[int, int]]:
+    """Check ``dims`` and the shape of ``rho`` against them; return both as used."""
+    try:
+        n_a, n_b = (int(d) for d in dims)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(
+            f"dims must be a pair of integers, got {dims!r}"
+        ) from None
+    if n_a < 2 or n_b < 2:
+        raise DimensionMismatch(
+            f"both subsystem dimensions must be >= 2, got ({n_a}, {n_b})"
+        )
+    m = _as_square(rho, "rho")
+    if m.shape != (n_a * n_b, n_a * n_b):
+        raise DimensionMismatch(
+            f"rho has shape {m.shape}, expected {(n_a * n_b, n_a * n_b)} "
+            f"for dims ({n_a}, {n_b})"
+        )
+    return m, (n_a, n_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,27 +186,21 @@ class BipartiteState:
     dims: tuple[int, int]
     tol: InitVar[float] = DEFAULT_TOL
 
+    # the spectrum validation solved, when it is eigvalsh(rho) bit for
+    # bit (see _density_spectrum); entropies of the state reuse it
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
+
     def __post_init__(self, tol: float):
-        try:
-            n_a, n_b = (int(d) for d in self.dims)
-        except (TypeError, ValueError):
-            raise DimensionMismatch(
-                f"dims must be a pair of integers, got {self.dims!r}"
-            ) from None
-        if n_a < 2 or n_b < 2:
-            raise DimensionMismatch(
-                f"both subsystem dimensions must be >= 2, got ({n_a}, {n_b})"
-            )
-        m = _as_square(self.rho, "rho")
-        if m.shape != (n_a * n_b, n_a * n_b):
-            raise DimensionMismatch(
-                f"rho has shape {m.shape}, expected {(n_a * n_b, n_a * n_b)} "
-                f"for dims ({n_a}, {n_b})"
-            )
-        m = np.array(validate_density(m, tol))
+        m, dims = _bipartite_matrix(self.rho, self.dims)
+        check, w = _density_spectrum(m)
+        _require_density(check, tol)
+        m = np.array(m)
         m.setflags(write=False)
+        if w is not None:
+            w.setflags(write=False)
         object.__setattr__(self, "rho", m)
-        object.__setattr__(self, "dims", (n_a, n_b))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_spectrum", w)
 
     @property
     def n_a(self) -> int:

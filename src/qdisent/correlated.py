@@ -32,7 +32,7 @@ from .core import (
     tensor_product,
     validate_density,
 )
-from .criteria import von_neumann_entropy
+from .criteria import _state_entropy
 from .states import coherent_pointer
 
 
@@ -336,7 +336,7 @@ def disentanglement_report(state: BipartiteState, methods,
     A method is any object with a ``tag`` and a ``factors(state, tol)``
     returning (factor_a, factor_b, solver pair or None).
     """
-    s_in = von_neumann_entropy(state.rho, tol)
+    s_in = _state_entropy(state, tol)
     out: list[DisentanglementReport] = []
     for method in methods:
         try:
@@ -357,7 +357,7 @@ def disentanglement_report(state: BipartiteState, methods,
             try:
                 product = product_state(factor_a, factor_b, tol)
                 frob = _frobenius(product.rho - state.rho)
-                s_prod = von_neumann_entropy(product.rho, tol)
+                s_prod = _state_entropy(product, tol)
             except QDisentError as exc:
                 product = frob = None
                 err = err or f"{type(exc).__name__}: {exc}"

@@ -25,18 +25,32 @@ SUBADDITIVITY_SLACK = 1e-9
 EXPECTATION_IMAG_TOL = 1e-10
 
 
+def _spectrum_entropy(w: np.ndarray, tol: float) -> float:
+    """Entropy -sum(lam ln lam) in nats of an ascending spectrum ``w``."""
+    if w[0] < -tol:
+        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} is below -tol {-tol:.3e}")
+    w = np.clip(w, 0.0, None)
+    nz = w[w > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
 def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
     """Entropy -sum(lam ln lam) in nats.
 
     Eigenvalues in (-tol, 0) count as exact zeros; anything below -tol
     raises NotPSD.
     """
-    w = hermitian_eigenvalues(rho, tol)
-    if w[0] < -tol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} is below -tol {-tol:.3e}")
-    w = np.clip(w, 0.0, None)
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return _spectrum_entropy(hermitian_eigenvalues(rho, tol), tol)
+
+
+def _state_entropy(state: BipartiteState, tol: float) -> float:
+    """``von_neumann_entropy(state.rho, tol)``, from the spectrum validation kept, if any."""
+    w = state._spectrum
+    # a kept spectrum means a zero hermiticity defect, which only a
+    # negative tol rejects
+    if w is None or tol < 0.0:
+        return von_neumann_entropy(state.rho, tol)
+    return _spectrum_entropy(w, tol)
 
 
 def entropy_bits(nats: float) -> float:
@@ -107,7 +121,7 @@ def subadditivity_check(state: BipartiteState, slack: float = SUBADDITIVITY_SLAC
     ``subadditive`` checks S_AB <= S_A + S_B, ``araki_lieb`` checks
     |S_A - S_B| <= S_AB, each up to ``slack``.
     """
-    s_ab = von_neumann_entropy(state.rho, tol)
+    s_ab = _state_entropy(state, tol)
     s_a = von_neumann_entropy(partial_trace(state, over="B"), tol)
     s_b = von_neumann_entropy(partial_trace(state, over="A"), tol)
     return SubadditivityResult(

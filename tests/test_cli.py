@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qdisent import file_digest
-from qdisent.cli import main
+from qdisent.cli import build_parser, main
 from qdisent.stateio import dumps_canonical
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -414,6 +414,20 @@ def test_usage_errors_exit_3(tmp_path, monkeypatch, capsys):
     assert run(capsys, "disentangle", "--damping", "1.5", "x.json")[0] == 3
     assert run(capsys, "disentangle", "--m", "0", "x.json")[0] == 3
     assert run(capsys, "bench2q", "--cases", "0")[0] == 3
+
+
+def test_main_reuses_one_parser_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    # main shares one parser per process; build_parser hands out fresh ones
+    assert build_parser() is not build_parser()
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path / "s.json", [0.4, 0.3, 0.2, 0.1], corner=0.05)
+    assert run(capsys, "disentangle", "--bogus", "s.json")[0] == 3
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: qdisent")
+    assert run(capsys, "disentangle", "--m", "2", "--damping", "0.3", "s.json")[0] == 0
+    code, out, _ = run(capsys, "disentangle", "s.json")
+    fresh = run_subprocess(tmp_path, "disentangle", "s.json")
+    assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
 def test_bench2q_small_run(capsys):

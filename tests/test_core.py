@@ -24,7 +24,8 @@ from qdisent.core import (
     validate_observable,
     validate_projector,
 )
-from qdisent.states import random_density
+from qdisent.criteria import _spectrum_entropy, _state_entropy, von_neumann_entropy
+from qdisent.states import random_density, random_state
 
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -228,3 +229,55 @@ def test_projector_and_observable_validation():
     assert np.array_equal(validate_observable(z), z)
     with pytest.raises(NotHermitian):
         validate_observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_empty_matrix_raises_dimension_mismatch():
+    for fn in (density_defects, von_neumann_entropy):
+        with pytest.raises(DimensionMismatch, match=r"non-empty, got shape \(0, 0\)"):
+            fn(np.zeros((0, 0)))
+
+
+# a state keeps its validation spectrum exactly when that spectrum is
+# eigvalsh(rho): rho is hermitian and (rho + rho^dag)/2 keeps its bits
+def _keeps_bits(rho):
+    return (np.array_equal(rho, rho.conj().T)
+            and _same_bits((rho + rho.conj().T) / 2, rho))
+
+
+def _check_spectrum(state):
+    if not _keeps_bits(state.rho):
+        assert state._spectrum is None
+        return
+    assert state._spectrum is not None
+    got = np.float64(_spectrum_entropy(state._spectrum, 1e-9))
+    want = np.float64(von_neumann_entropy(state.rho))
+    assert got.view(np.uint64) == want.view(np.uint64)
+    assert _same_bits(state._spectrum, np.linalg.eigvalsh(state.rho))
+    with pytest.raises(NotHermitian):  # as von_neumann_entropy does at defect 0
+        _state_entropy(state, -1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(st.integers(2, 5), st.integers(2, 5)), st.integers(0, 2**32 - 1))
+def test_kept_spectrum_gives_the_entropy_bits(dims, seed):
+    # random_state leaves some draws a few ulps from hermitian: those keep none
+    _check_spectrum(random_state(dims, seed))
+    rng = np.random.default_rng(seed)
+    a, b = (random_density(n, rng) for n in dims)
+    product = product_state((a + a.conj().T) / 2, (b + b.conj().T) / 2)
+    assert product._spectrum is not None
+    _check_spectrum(product)
+
+
+def test_zero_defect_with_a_flipped_zero_keeps_no_spectrum():
+    m = random_density(4, 0)
+    m = ((m + m.conj().T) / 2 + np.eye(4) / 4) / 2
+    m[1, 0] = m[0, 1] = complex(-0.0, 0.0)
+    _, sym = _hermitize(m)
+    assert density_defects(m).hermiticity_defect == 0.0
+    # the hermitized zeros lose their sign, and LAPACK's bits move with them
+    assert not _same_bits(np.linalg.eigvalsh(sym), np.linalg.eigvalsh(m))
+    state = BipartiteState(m, (2, 2))
+    assert state._spectrum is None
+    got = np.float64(_state_entropy(state, 1e-9))
+    assert got.view(np.uint64) == np.float64(von_neumann_entropy(m)).view(np.uint64)

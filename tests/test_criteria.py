@@ -1,6 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from qdisent.cli import main
 from qdisent.core import (
     BipartiteState,
     DimensionMismatch,
@@ -18,6 +22,7 @@ from qdisent.criteria import (
     von_neumann_entropy,
     witness_expectation,
 )
+from qdisent.stateio import save_state
 from qdisent.states import (
     bell_state,
     pure_product,
@@ -141,3 +146,41 @@ def test_separability_verdict_aggregates():
     w = separability_verdict(sep)
     assert w.ppt_pass and w.red_pass and w.all_pass
     assert abs(w.entropy_ab - subadditivity_check(sep).entropy_ab) < 1e-15
+
+
+def _joint_solves(monkeypatch, argv, n):
+    """Run the CLI in-process; count the n x n ``eigvalsh`` calls it makes."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            calls.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        code = main(argv)
+    return code, len(calls)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+def test_each_joint_spectrum_is_solved_once(tmp_path, monkeypatch, dims):
+    monkeypatch.delenv("QDISENT_TOL", raising=False)
+    n = dims[0] * dims[1]
+    rho = random_density(n, 3)
+    rho = (rho + rho.conj().T) / 2  # exactly hermitian, as the bench corpus writes
+    off = rho.copy()
+    off[1, 0] = complex(np.nextafter(off[1, 0].real, 1.0), off[1, 0].imag)
+    exact, near = tmp_path / "exact.json", tmp_path / "near.json"
+    save_state(exact, BipartiteState(rho, dims))
+    save_state(near, BipartiteState(off, dims))
+    # validate: one solve serves the defect keys and validity; analyze:
+    # validation, PPT, two reduction operators and S_AB, whose spectrum
+    # validation already solved when rho keeps its bits; disentangle:
+    # input and product, each validated once, their entropies reuse it
+    expected = [("validate", exact, 1), ("analyze", exact, 4), ("disentangle", exact, 2),
+                ("validate", near, 1), ("analyze", near, 5), ("disentangle", near, 3)]
+    for cmd, path, solves in expected:
+        code, count = _joint_solves(monkeypatch, [cmd, str(path)], n)
+        assert code in (0, 1) and count == solves, (cmd, path.name, code, count)

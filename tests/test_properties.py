@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisent.cli import main
-from qdisent.core import partial_trace, product_state
-from qdisent.correlated import fixed_point_residuals, fixed_point_solve
+from qdisent.core import BipartiteState, partial_trace, product_state
+from qdisent.correlated import (
+    CorrelatedMethod,
+    NeumannMethod,
+    disentanglement_report,
+    fixed_point_residuals,
+    fixed_point_solve,
+)
 from qdisent.criteria import ppt_test, reduction_criterion_test
 from qdisent.stateio import save_state
-from qdisent.states import random_density, random_state, separable_mixture
+from qdisent.states import random_density, random_ket, random_state, separable_mixture
 
 DIMS = st.tuples(st.integers(2, 5), st.integers(2, 5))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -44,6 +50,22 @@ def test_separable_mixtures_pass_ppt_and_reduction(dims, seed, terms):
     state = separable_mixture(dims, seed, k_terms=terms)
     assert ppt_test(state).passed
     assert reduction_criterion_test(state, mode="standard").passed
+
+
+@settings(max_examples=25, deadline=None)
+@given(DIMS, SEEDS)
+def test_correlated_pair_changes_near_pure_entropy_least(dims, seed):
+    # the paper's claim: the correlated reduction "minimally changes the
+    # entropy of composite system".  It holds in the near-pure regime the
+    # paper argues from; on mixed states it can fail (generate random
+    # --seed 8: 0.23637 correlated against 0.20529 von Neumann nats)
+    n = dims[0] * dims[1]
+    psi = random_ket(n, seed)
+    rho = 0.99 * np.outer(psi, psi.conj()) + 0.01 * np.eye(n) / n
+    state = BipartiteState((rho + rho.conj().T) / 2, dims)
+    corr, neumann = disentanglement_report(state, [CorrelatedMethod(), NeumannMethod()])
+    assert corr.error is None
+    assert corr.entropy_change <= neumann.entropy_change + 1e-12
 
 
 # Every numeric flag, each after the arguments that make it matter.  The
