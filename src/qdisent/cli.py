@@ -175,8 +175,7 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
 def _validate_item(path: str, tol: float) -> tuple[dict, int]:
     item: dict = {"input": path}
     try:
-        doc = load_document(path)
-        item["digest"] = file_digest(path)
+        doc, item["digest"] = load_document(path)
         rho, dims = doc_to_matrix(doc)
     except StateFormatError as exc:
         item["valid"] = False
@@ -212,8 +211,7 @@ def cmd_validate(args) -> int:
 def _load_item(path: str, tol: float):
     """Shared load step: returns (state, header dict) or (None, error item)."""
     try:
-        digest = file_digest(path)
-        doc = load_document(path)
+        doc, digest = load_document(path)
         state = BipartiteState(*doc_to_matrix(doc), tol=tol)
     except StateFormatError as exc:
         return None, ({"input": path, "error": f"StateFormatError: {exc}"},

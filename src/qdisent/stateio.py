@@ -15,6 +15,7 @@ fails the density checks raises the usual core errors instead.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import operator
@@ -243,12 +244,20 @@ def doc_to_state(doc, tol: float = DEFAULT_TOL) -> BipartiteState:
     return BipartiteState(rho, dims, tol=tol)
 
 
-def load_document(path) -> dict:
-    """Read and parse a state file without interpreting it."""
+def _read(path) -> tuple[bytes, str]:
+    """The file's bytes and their digest: the one read of a state file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
+    return data, "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def load_document(path) -> tuple[dict, str]:
+    """Parse a state file, uninterpreted: (document, digest of the bytes parsed)."""
+    data, digest = _read(path)
+    try:  # decode as read_text does: universal newlines, same error positions
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise StateFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
@@ -263,11 +272,11 @@ def load_document(path) -> dict:
             f" {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
-    return doc
+    return doc, digest
 
 
 def load_state(path, tol: float = DEFAULT_TOL) -> BipartiteState:
-    return doc_to_state(load_document(path), tol=tol)
+    return doc_to_state(load_document(path)[0], tol=tol)
 
 
 def save_state(path, state: BipartiteState, meta: dict | None = None) -> str:
@@ -279,8 +288,4 @@ def save_state(path, state: BipartiteState, meta: dict | None = None) -> str:
 
 def file_digest(path) -> str:
     """sha256 digest of the file bytes, prefixed with the algorithm name."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise StateFormatError(f"cannot read {path}: {exc}") from exc
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return _read(path)[1]

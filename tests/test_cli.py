@@ -1,5 +1,8 @@
 """End-to-end checks of the qdisent command line."""
 
+import builtins
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -481,6 +484,43 @@ def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
     code, doc, _ = run_json(capsys, cmd, str(tmp_path / "s.json"))
     assert code == 1
     assert doc["error"] == "LinAlgError: Eigenvalues did not converge"
+
+
+@pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])
+def test_each_item_opens_its_file_once(tmp_path, monkeypatch, capsys, cmd):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_doc(batch / "a.json", [0.25, 0.25, 0.25, 0.25])
+    write_doc(batch / "b.json", [0.5, 0.5, 0.0, 0.0])
+    opened = []
+    real_open = io.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.basename(os.fspath(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)
+    monkeypatch.setattr(builtins, "open", spy)
+    code, doc, _ = run_json(capsys, cmd, str(batch))
+    assert code == 0
+    assert sorted(opened) == ["a.json", "b.json"]
+    for item in doc["items"]:
+        data = (batch / os.path.basename(item["input"])).read_bytes()
+        assert item["digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])
+@pytest.mark.parametrize("diag, corner", [
+    ([0.25, 0.25, 0.25, 0.25], 1e308), ([1e308, 1e308, 1e308, 1e308], None),
+], ids=["off_diagonal", "diagonal"])
+def test_overflowing_entries_print_no_warning(tmp_path, cmd, diag, corner):
+    # m + m^dag or the trace overflows and the eigensolve fails: an
+    # invalid item, reported on stdout only
+    write_doc(tmp_path / "big.json", diag, corner=corner)
+    proc = run_subprocess(tmp_path, cmd, "big.json")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert '"error": "LinAlgError: Eigenvalues did not converge"' in proc.stdout
 
 
 def test_subprocess_entry_point(tmp_path):

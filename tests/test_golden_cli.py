@@ -8,8 +8,13 @@ before the state-grid codec was vectorised, and (for the ``wide`` cases)
 before the tensor product and the solver half-step lost ``np.kron``, so
 any change to the report bytes or to the cell-walk error texts shows up
 here.  The ``wide`` cases cover a 4x4 solve, a powered and damped solve
-and a powered pointer reduction on a 3x2 state.  Floating-point results depend on the numpy build, so the
-digests only hold for the numpy version they were recorded with.
+and a powered pointer reduction on a 3x2 state.  The ``readerr`` cases
+were recorded while the CLI still read each file twice (digest, then
+text): they pin the read path's error texts for CRLF and lone-CR line
+ends, an invalid UTF-8 byte past the first 8 KiB and a UTF-8 BOM, and
+the digest of a valid state written with CRLF line ends.
+Floating-point results depend on the numpy build, so the digests only
+hold for the numpy version they were recorded with.
 """
 
 import contextlib
@@ -58,6 +63,20 @@ def _error_walk_files():
             "short_row.json": short_row, "unknown_key.json": unknown_key}
     return {name: json.dumps(doc) + "\n" for name, doc in docs.items()}
 
+
+def _read_error_files():
+    """File name -> raw bytes for the batch that exercises the read path."""
+    broken = '{\n  "dims": [2, 2],\n  "rho": oops\n}\n'
+    pad = json.dumps({"dims": [2, 2], "meta": {"pad": "x" * 9000}})
+    return {
+        "bom.json": b"\xef\xbb\xbf" + json.dumps(_int_doc()).encode(),
+        "crlf_state.json": json.dumps(_int_doc(), indent=2).replace(
+            "\n", "\r\n").encode() + b"\r\n",
+        "crlf_syntax.json": broken.replace("\n", "\r\n").encode(),
+        "cr_syntax.json": broken.replace("\n", "\r").encode(),
+        "late_bad_byte.json": pad[:-2].encode() + b'\xff"}}\n',
+    }
+
 # (name, argv), run in this order: the generate cases write the batch
 # directory that the later cases read
 CASES = (
@@ -90,6 +109,8 @@ CASES = (
     ("wide_pointer_m2", ("disentangle", "--method", "pointer", "--m", "2",
                          "wide/random32.json")),
     ("wide_analyze", ("analyze", "wide/random44.json")),
+    ("readerr_validate", ("validate", "readerr")),
+    ("readerr_analyze", ("analyze", "readerr")),
 )
 
 # name -> (exit code, sha256 of stdout)
@@ -113,6 +134,8 @@ GOLDEN = {
     "wide_disentangle_m2_damped": (0, "24a91df9c0dd6e0c3f0d3755d0e6e204285f5c329e4e8c767dce1b78a1be4818"),
     "wide_pointer_m2": (0, "60ecc7edb58ee9798992babe2bb2f5bf0d0ceadcc6554644859866bcf3ffcd8a"),
     "wide_analyze": (1, "09ca453646eb38c13f3c60a1993287828f3cd56688ee8fa65246ecdfe34b8931"),
+    "readerr_validate": (3, "9d75deb22421bf4777e9e6be796060ab2296f32a555bba406c14c91e64e72c35"),
+    "readerr_analyze": (3, "efc6fb45d837fdc7a6e26cd2ec5a27c18ef7bb607551c1afc77355b41912680e"),
 }
 
 
@@ -126,6 +149,9 @@ def reports(tmp_path_factory):
     (root / "wide").mkdir()
     for name, text in _error_walk_files().items():
         (root / "errwalk" / name).write_text(text, encoding="utf-8")
+    (root / "readerr").mkdir()
+    for name, data in _read_error_files().items():
+        (root / "readerr" / name).write_bytes(data)
     out = {}
     cwd = os.getcwd()
     with pytest.MonkeyPatch.context() as mp:

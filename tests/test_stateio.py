@@ -1,5 +1,6 @@
 """Round-trip and format checks for the JSON state files."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_meta_survives_round_trip(tmp_path):
     state = random_state((2, 2), seed=4)
     path = tmp_path / "m.json"
     save_state(path, state, meta={"kind": "random", "seed": "4"})
-    doc = load_document(path)
+    doc, _ = load_document(path)
     assert doc["meta"] == {"kind": "random", "seed": "4"}
 
 
@@ -281,6 +282,16 @@ def test_file_digest(tmp_path):
     )
     with pytest.raises(StateFormatError):
         file_digest(tmp_path / "nope.json")
+
+
+def test_load_document_digests_the_bytes_it_parsed(tmp_path):
+    # CRLF line ends: the digest is of the raw bytes, not the decoded text
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n  "dims": [1, 1],\r\n  "rho": [[[1, 0]]]\r\n}\r\n')
+    doc, digest = load_document(path)
+    assert doc == {"dims": [1, 1], "rho": [[[1, 0]]]}
+    assert digest == file_digest(path) == (
+        "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def test_load_state_validates(tmp_path):
