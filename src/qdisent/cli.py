@@ -88,41 +88,30 @@ _KIND_ALIASES = {
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; 2 means non-convergence here,
-    # so usage trouble leaves through 3 with the rest of the parse/I-O
-    # failures
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")
+    """A usage, input or I/O failure: ``main`` prints it and exits 3."""
 
 
 def _check_finite(value: float, name: str, shown) -> None:
     """Reject a non-finite flag value; ``shown`` is echoed."""
     if not math.isfinite(value):
-        raise _CliError(EXIT_FORMAT, f"{name} must be finite, got {shown}")
+        raise _CliError(f"{name} must be finite, got {shown}")
 
 
 def _check_at_least(value: int, low: int, name: str) -> None:
     if value < low:
-        raise _CliError(EXIT_FORMAT, f"{name} must be >= {low}, got {value}")
+        raise _CliError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_at_most(value: int, high: int, name: str) -> None:
     if value > high:
-        raise _CliError(EXIT_FORMAT, f"{name} {value} exceeds the cap {high}")
+        raise _CliError(f"{name} {value} exceeds the cap {high}")
 
 
 def _check_tol(value: float, name: str, shown) -> float:
     """Reject a non-finite or non-positive tolerance; ``shown`` is echoed."""
     _check_finite(value, name, shown)
     if value <= 0.0:
-        raise _CliError(EXIT_FORMAT, f"{name} must be positive, got {shown}")
+        raise _CliError(f"{name} must be positive, got {shown}")
     return value
 
 
@@ -135,9 +124,7 @@ def _resolve_tol(flag_value):
     try:
         value = float(raw)
     except ValueError:
-        raise _CliError(
-            EXIT_FORMAT, f"{ENV_TOL} must be a number, got {raw!r}"
-        ) from None
+        raise _CliError(f"{ENV_TOL} must be a number, got {raw!r}") from None
     return _check_tol(value, ENV_TOL, repr(raw))
 
 
@@ -148,7 +135,7 @@ def _expand(path: str) -> tuple[list[str], bool]:
         names = sorted((c for c in p.iterdir() if c.is_file()
                         and c.suffix == ".json"), key=lambda c: c.name)
         if not names:
-            raise _CliError(EXIT_FORMAT, f"no .json state files in {path}")
+            raise _CliError(f"no .json state files in {path}")
         return [str(c) for c in names], True
     return [path], False
 
@@ -170,6 +157,12 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
     return worst
 
 
+def _item_error(item: dict, exc: Exception) -> int:
+    """Record ``exc`` as the item's error; a format error exits 3, the rest 1."""
+    item["error"] = f"{type(exc).__name__}: {exc}"
+    return EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
+
+
 # ---------------------------------------------------------------- validate
 
 def _validate_item(path: str, tol: float) -> tuple[dict, int]:
@@ -177,12 +170,7 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
     try:
         doc, item["digest"] = load_document(path)
         rho, dims = doc_to_matrix(doc)
-    except StateFormatError as exc:
-        item["valid"] = False
-        item["error"] = f"StateFormatError: {exc}"
-        return item, EXIT_FORMAT
-    item["dims"] = [dims[0], dims[1]]
-    try:
+        item["dims"] = [dims[0], dims[1]]
         # an empty grid (a zero dim) has no defects; the dims check
         # names the dims it rejects before the defects are needed
         check = None
@@ -193,8 +181,7 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
         _require_density(check, tol)
     except (QDisentError, np.linalg.LinAlgError) as exc:
         item["valid"] = False
-        item["error"] = f"{type(exc).__name__}: {exc}"
-        return item, EXIT_INVALID
+        return item, _item_error(item, exc)
     item["valid"] = True
     item["error"] = None
     return item, EXIT_OK
@@ -213,12 +200,9 @@ def _load_item(path: str, tol: float):
     try:
         doc, digest = load_document(path)
         state = BipartiteState(*doc_to_matrix(doc), tol=tol)
-    except StateFormatError as exc:
-        return None, ({"input": path, "error": f"StateFormatError: {exc}"},
-                      EXIT_FORMAT)
     except (QDisentError, np.linalg.LinAlgError) as exc:
-        return None, ({"input": path, "error": f"{type(exc).__name__}: {exc}"},
-                      EXIT_INVALID)
+        item = {"input": path}
+        return None, (item, _item_error(item, exc))
     return state, ({"input": path, "digest": digest,
                     "dims": [state.n_a, state.n_b]}, EXIT_OK)
 
@@ -254,12 +238,11 @@ def _solver_doc(pair: CorrelatedPair | None):
         "converged": pair.converged,
         "residual_a": pair.residual_a,
         "residual_b": pair.residual_b,
-        "final_step_a": log[-1].step_a if log else None,
-        "final_step_b": log[-1].step_b if log else None,
-        "max_herm_defect": max(
-            (max(r.herm_defect_a, r.herm_defect_b) for r in log), default=0.0),
-        "min_eig_seen": min(
-            (min(r.min_eig_a, r.min_eig_b) for r in log), default=0.0),
+        # the solver logs every sweep and runs at least one
+        "final_step_a": log[-1].step_a,
+        "final_step_b": log[-1].step_b,
+        "max_herm_defect": max(max(r.herm_defect_a, r.herm_defect_b) for r in log),
+        "min_eig_seen": min(min(r.min_eig_a, r.min_eig_b) for r in log),
     }
 
 
@@ -300,8 +283,7 @@ def cmd_disentangle(args) -> int:
         _check_finite(value, name, value)
     _check_at_least(args.max_iter, 1, "--max-iter")
     if not 0.0 <= args.damping < 1.0:
-        raise _CliError(EXIT_FORMAT,
-                        f"--damping must sit in [0, 1), got {args.damping}")
+        raise _CliError(f"--damping must sit in [0, 1), got {args.damping}")
     _check_at_least(args.m, 1, "--m")
     spec = _method_spec(args)
     echo = (f"disentangle --method {args.method} --p {format_real(args.p)}"
@@ -321,13 +303,13 @@ def cmd_generate(args) -> int:
     # dims below 2 stay generate's InvalidSpec, exit 1
     sized = min(n_a, n_b) >= 2
     if sized and n_a * n_b > GENERATE_MAX_DIM:
-        raise _CliError(EXIT_FORMAT, f"--dims {n_a} {n_b} exceeds the joint"
-                                     f" dimension cap {GENERATE_MAX_DIM}")
+        raise _CliError(f"--dims {n_a} {n_b} exceeds the joint"
+                        f" dimension cap {GENERATE_MAX_DIM}")
     _check_at_most(args.terms, GENERATE_MAX_TERMS, "--terms")
     work = args.terms * (n_a * n_b) ** 2
     if sized and work > GENERATE_MAX_WORK:
-        raise _CliError(EXIT_FORMAT, f"--terms {args.terms} x (NA*NB)^2 = {work}"
-                                     f" exceeds the work cap {GENERATE_MAX_WORK}")
+        raise _CliError(f"--terms {args.terms} x (NA*NB)^2 = {work}"
+                        f" exceeds the work cap {GENERATE_MAX_WORK}")
     vtol = _resolve_tol(None)
     kind = _KIND_ALIASES[args.kind]
     spec = GenSpec(kind=kind, dims=(n_a, n_b), seed=args.seed, k_terms=args.terms)
@@ -343,7 +325,7 @@ def cmd_generate(args) -> int:
     try:
         save_state(args.out, state, meta=meta)
     except OSError as exc:
-        raise _CliError(EXIT_FORMAT, f"cannot write {args.out}: {exc}") from exc
+        raise _CliError(f"cannot write {args.out}: {exc}") from exc
     echo = (f"generate {kind} --dims {n_a} {n_b}"
             f" --seed {args.seed} --terms {args.terms} --out {args.out}")
     doc = {"command": echo, "out": args.out, "digest": file_digest(args.out),
@@ -385,8 +367,8 @@ def cmd_bench2q(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser on each call; ``main`` reuses one, see ``_parser``."""
-    parser = _Parser(prog="qdisent",
-                     description="Bipartite density-matrix analysis toolbox.")
+    parser = argparse.ArgumentParser(
+        prog="qdisent", description="Bipartite density-matrix analysis toolbox.")
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
 
     v = sub.add_parser("validate",
@@ -467,12 +449,15 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_FORMAT
+        # argparse exits 2 on usage errors; 2 means non-convergence here,
+        # so usage trouble leaves through 3 with the rest of the parse/I-O
+        # failures (--help exits 0)
+        return EXIT_OK if exc.code == EXIT_OK else EXIT_FORMAT
     try:
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_FORMAT
     except QDisentError as exc:
         # a library error no command maps to an item, e.g. a report
         # value that cannot be rendered canonically

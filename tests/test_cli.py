@@ -330,6 +330,31 @@ def test_disentangle_nonconvergence_exits_2(tmp_path, monkeypatch, capsys):
     assert doc["product"] is not None
 
 
+def test_neumann_factors_can_fail_validation_the_input_passed(
+        tmp_path, monkeypatch, capsys):
+    # I/4 with four imaginary entries of 4.5e-10 that are not mirrored:
+    # defect 0.9e-9 in, but each partial trace sums two of them, so the
+    # von Neumann factors carry 1.8e-9 and their product is refused
+    grid = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+            for i in range(4)]
+    for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
+        grid[i][j][1] = 4.5e-10
+    (tmp_path / "h.json").write_text(dumps_canonical({"dims": [2, 2], "rho": grid}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "validate", "h.json")
+    assert code == 0
+    assert '"hermiticity_defect": 8.9999999999999999e-10,' in out
+    code, doc, _ = run_json(capsys, "disentangle", "--method", "neumann", "h.json")
+    assert code == 1
+    assert doc["product"] is None
+    assert doc["factor_a"] is not None and doc["factor_b"] is not None
+    assert doc["error"] == ("NotHermitian: hermiticity defect 1.800e-09"
+                            " exceeds tol 1.000e-09")
+    for method in ("correlated", "pointer"):
+        code, doc, _ = run_json(capsys, "disentangle", "--method", method, "h.json")
+        assert (code, doc["error"]) == (0, None)
+
+
 # --------------------------------------------------------------------- batch
 
 
@@ -417,6 +442,49 @@ def test_usage_errors_exit_3(tmp_path, monkeypatch, capsys):
     assert run(capsys, "disentangle", "--damping", "1.5", "x.json")[0] == 3
     assert run(capsys, "disentangle", "--m", "0", "x.json")[0] == 3
     assert run(capsys, "bench2q", "--cases", "0")[0] == 3
+
+
+@pytest.mark.parametrize("env, argv, err", [
+    ({}, (),
+     "usage: qdisent [-h] command ...\n"
+     "qdisent: error: the following arguments are required: command\n"),
+    ({}, ("disentangle", "--bogus", "x.json"),
+     "usage: qdisent [-h] command ...\n"
+     "qdisent: error: unrecognized arguments: --bogus\n"),
+    ({}, ("analyze", "--red-mode", "nope", "x.json"),
+     "usage: qdisent analyze [-h] [--tol TOL] [--red-mode {standard,literal}]"
+     " path\n"
+     "qdisent analyze: error: argument --red-mode: invalid choice: 'nope'"
+     " (choose from 'standard', 'literal')\n"),
+    ({}, ("validate", "--tol", "0", "x.json"),
+     "error: --tol must be positive, got 0.0\n"),
+    ({}, ("disentangle", "--damping", "1.5", "x.json"),
+     "error: --damping must sit in [0, 1), got 1.5\n"),
+    ({"QDISENT_TOL": "abc"}, ("validate", "x.json"),
+     "error: QDISENT_TOL must be a number, got 'abc'\n"),
+    ({}, ("generate", "bell", "--dims", "64", "64", "--out", "x.json"),
+     "error: --dims 64 64 exceeds the joint dimension cap 1024\n"),
+    ({}, ("validate", "empty"),
+     "error: no .json state files in empty\n"),
+], ids=["no_command", "unknown_flag", "bad_choice", "zero_tol", "damping",
+        "env_tol", "dims_cap", "empty_dir"])
+def test_failure_routes_exit_3_with_exact_stderr(tmp_path, monkeypatch, capsys,
+                                                 env, argv, err):
+    # argparse wraps its usage line at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty").mkdir()
+    assert run(capsys, *argv) == (3, "", err)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_unwritable_out_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "generate", "bell", "--out", "missing/x.json") == (
+        3, "", "error: cannot write missing/x.json: [Errno 2] No such file or"
+               " directory: 'missing/x.json'\n")
 
 
 def test_main_reuses_one_parser_and_keeps_no_state(tmp_path, monkeypatch, capsys):

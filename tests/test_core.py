@@ -131,6 +131,8 @@ def test_partial_trace_rejects_bad_side():
     state = BipartiteState(np.eye(4) / 4, (2, 2))
     with pytest.raises(ValueError):
         partial_trace(state, over="C")
+    with pytest.raises(ValueError, match="on must be 'A' or 'B', got 'C'"):
+        partial_transpose(state, on="C")
 
 
 def test_partial_transpose_is_an_involution():

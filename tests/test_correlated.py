@@ -4,6 +4,7 @@ import pytest
 from qdisent.core import (
     BipartiteState,
     DimensionMismatch,
+    NotPSDResult,
     ZeroDenominator,
     product_state,
 )
@@ -23,6 +24,7 @@ from qdisent.states import (
     bell_state,
     coherent_pointer,
     random_density,
+    random_ket,
     random_state,
     separable_mixture,
 )
@@ -82,6 +84,15 @@ def test_weighted_reduction_zero_denominator():
     blind = np.array([[1.0, 0.0], [0.0, 0.0]])  # orthogonal to the B factor
     with pytest.raises(ZeroDenominator):
         correlated_local_state(state, blind, side="A")
+
+
+def test_weighted_reduction_negative_eigenvalue_past_tol():
+    # a pure (3, 2) state reduces to a rank-deficient factor whose zero
+    # eigenvalue comes out at -1.487e-16, below -tol for tol=1e-30
+    ket = random_ket(6, 0)
+    state = BipartiteState(np.outer(ket, ket.conj()), (3, 2))
+    with pytest.raises(NotPSDResult, match="eigenvalue -1.487e-16 below -tol"):
+        correlated_local_state(state, np.eye(2) / 2, tol=1e-30)
 
 
 def test_solver_config_validation():

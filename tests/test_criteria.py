@@ -119,6 +119,12 @@ def test_witness_expectation():
         assert witness_expectation(state, witness) >= -1e-10
     with pytest.raises(NotHermitian):
         witness_expectation(bell, np.triu(np.ones((4, 4))))
+    with pytest.raises(DimensionMismatch, match=r"witness shape \(2, 2\)"):
+        witness_expectation(bell, np.eye(2))
+    # hermitian within tol=1e-3, but the expectation keeps i * 1e-4
+    tilted = np.diag([1.0, -1.0, -1.0, 1.0]) + 1e-4j * np.eye(4)
+    with pytest.raises(ValueError, match="imaginary part 1.000e-04"):
+        witness_expectation(bell, tilted, tol=1e-3)
 
 
 def test_correlation_gap_values():
@@ -132,6 +138,9 @@ def test_correlation_gap_values():
         assert abs(correlation_gap(prod, Z, Z).gap) < 1e-12
     with pytest.raises(DimensionMismatch):
         correlation_gap(bell, np.eye(3), Z)
+    with pytest.raises(DimensionMismatch,
+                       match=r"obs_b shape \(3, 3\), expected \(2, 2\)"):
+        correlation_gap(bell, np.eye(2), np.eye(3))
 
 
 def test_separability_verdict_aggregates():

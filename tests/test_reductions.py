@@ -5,6 +5,7 @@ from qdisent.core import (
     BipartiteState,
     DimensionMismatch,
     InvalidSpec,
+    ZeroDenominator,
     ZeroProbability,
     partial_trace,
     product_state,
@@ -28,6 +29,8 @@ def test_neumann_reduce_is_partial_trace():
     state = random_state((2, 3), seed=2)
     assert np.array_equal(neumann_reduce(state, "A"), partial_trace(state, "B"))
     assert np.array_equal(neumann_reduce(state, "B"), partial_trace(state, "A"))
+    with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+        neumann_reduce(state, keep="C")
 
 
 def test_projective_collapse_basics():
@@ -41,6 +44,9 @@ def test_projective_collapse_basics():
         projective_collapse(np.outer(E1, E1), proj)
     with pytest.raises(ValueError):
         projective_collapse(rho, np.eye(2) / 2)  # not a projector
+    with pytest.raises(DimensionMismatch, match=r"projector shape \(2, 2\) does"
+                       r" not match state shape \(4, 4\)"):
+        projective_collapse(bell_state().rho, np.eye(2))
 
 
 def test_conditional_state_on_bell():
@@ -100,6 +106,11 @@ def test_averaged_projective_state_biased_bell():
     bell = bell_state()
     avg = averaged_projective_state(bell, np.array([0.9, 0.1]))
     assert np.abs(avg - np.diag([0.9, 0.1])).max() < 1e-15
+    # |01><01| weighted only by the B outcome it never takes
+    ket = np.kron(E0, E1)
+    state = BipartiteState(np.outer(ket, ket).astype(complex), (2, 2))
+    with pytest.raises(ZeroDenominator, match="averaged trace 0.000e"):
+        averaged_projective_state(state, np.array([1.0, 0.0]))
 
 
 def test_neumann_equivalence_gap():

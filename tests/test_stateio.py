@@ -104,6 +104,9 @@ def test_dumps_canonical_layout():
         '  }\n'
         '}\n'
     )
+    assert dumps_canonical({"a": {}}) == '{\n  "a": {}\n}\n'
+    # a grid whose leaves are not all floats takes the per-value path
+    assert dumps_canonical({"g": [[[1, 0.5]]]}) == '{\n  "g": [[[1, 0.5]]]\n}\n'
 
 
 def test_dumps_canonical_list_of_dicts_is_multiline():
@@ -135,6 +138,11 @@ def test_dumps_canonical_rejects_unknown_types():
         dumps_canonical({"v": complex(1, 2)})
     with pytest.raises(StateFormatError):
         dumps_canonical({"v": np.ones(2)})
+    with pytest.raises(StateFormatError, match="object keys must be strings, got 1"):
+        dumps_canonical({1: 2})
+    for top in (dumps_canonical, doc_to_matrix):
+        with pytest.raises(StateFormatError, match="top level must be an object"):
+            top([])
 
 
 def test_dumps_canonical_is_parseable_json():
@@ -386,10 +394,12 @@ def _mixed_leaves(doc):
     (_set_cell(1, 2, ["0.5", 0.0]), "rho[1][2][0] must be a number, got '0.5'"),
     (_set_cell(2, 3, None), "rho[2][3] must be a [re, im] pair"),
     (_set_cell(3, 0, [0.0, 0.0, 0.0]), "rho[3][0] must be a [re, im] pair"),
+    (_set_cell(0, 0, [0.0, 0.0, 0.0]), "rho[0][0] must be a [re, im] pair"),
     (_shorten_row, "rho row 1 must be a list of 4 entries"),
     (_set_cell(0, 3, json.loads("[1e999, 0]")), "rho[0][3][0] must be finite, got inf"),
     (_mixed_leaves, None),
-], ids=["bool", "str", "none", "triple", "short_row", "1e999", "mixed_int_float"])
+], ids=["bool", "str", "none", "triple", "first_triple", "short_row", "1e999",
+        "mixed_int_float"])
 def test_malformed_cells_keep_walk_messages(edit, message):
     doc = _good_doc()
     edit(doc)

@@ -112,3 +112,5 @@ def test_generate_dispatch_and_errors():
         generate(GenSpec(kind="nope"))
     with pytest.raises(InvalidSpec):
         generate(GenSpec(kind="random", dims=(1, 2)))
+    with pytest.raises(InvalidSpec, match="dims must be a pair of integers"):
+        generate(GenSpec(kind="random", dims=("a", 2)))
