@@ -45,7 +45,6 @@ from .reductions import neumann_reduce
 from .states import GenSpec, generate
 from .stateio import (
     StateFormatError,
-    _grid,
     doc_to_matrix,
     dumps_canonical,
     file_digest,
@@ -215,8 +214,8 @@ def _analyze_item(path: str, tol: float, mode: str) -> tuple[dict, int]:
     fields = dataclasses.asdict(verdict)
     fields["all_pass"] = verdict.all_pass
     item["verdict"] = fields
-    item["reduced_a"] = _grid(neumann_reduce(state, keep="A"))
-    item["reduced_b"] = _grid(neumann_reduce(state, keep="B"))
+    item["reduced_a"] = neumann_reduce(state, keep="A")
+    item["reduced_b"] = neumann_reduce(state, keep="B")
     return item, EXIT_OK if verdict.all_pass else EXIT_INVALID
 
 
@@ -262,9 +261,9 @@ def _disentangle_item(path: str, vtol: float, spec) -> tuple[dict, int]:
         return item, code
     rep = disentanglement_report(state, [spec], tol=vtol)[0]
     item["method"] = rep.method
-    item["factor_a"] = None if rep.factor_a is None else _grid(rep.factor_a)
-    item["factor_b"] = None if rep.factor_b is None else _grid(rep.factor_b)
-    item["product"] = None if rep.product is None else _grid(rep.product.rho)
+    item["factor_a"] = rep.factor_a
+    item["factor_b"] = rep.factor_b
+    item["product"] = None if rep.product is None else rep.product.rho
     item["frobenius_to_input"] = rep.frobenius_to_input
     item["entropy_input"] = rep.entropy_input
     item["entropy_product"] = rep.entropy_product
@@ -367,9 +366,15 @@ def cmd_bench2q(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser on each call; ``main`` reuses one, see ``_parser``."""
+    # help and usage wrap at 78 columns, not at the terminal's width, so
+    # the usage-error bytes do not depend on COLUMNS
+    wrap = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
-        prog="qdisent", description="Bipartite density-matrix analysis toolbox.")
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar="command")
+        prog="qdisent", description="Bipartite density-matrix analysis toolbox.",
+        formatter_class=wrap)
+    sub = parser.add_subparsers(
+        dest="cmd", required=True, metavar="command",
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=wrap))
 
     v = sub.add_parser("validate",
                        help="check state files against the density contract")

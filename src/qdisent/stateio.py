@@ -18,9 +18,8 @@ import hashlib
 import io
 import json
 import math
-import operator
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +44,9 @@ def format_real(x: float) -> str:
 def _grid_leaves(grid):
     """(width, leaves) of a regular grid of two-element list cells, else None.
 
-    The leaves come row-major, re before im.  This is the whole-grid
-    screen that the fast render and parse paths share; anything it
-    turns down goes to the per-value code, which owns every error text.
+    The leaves come row-major, re before im.  This is the parse path's
+    whole-grid screen; anything it turns down goes to the per-value
+    code, which owns every error text.
     """
     if set(map(type, grid)) != {list}:
         return None
@@ -60,21 +59,22 @@ def _grid_leaves(grid):
     return widths.pop(), list(chain.from_iterable(cells))
 
 
-def _render_grid(value):
-    """Canonical text of a grid of finite ``[float, float]`` cells, else None.
+def _render_matrix(m: np.ndarray) -> str:
+    """Canonical text of a 2-D complex array as a grid of ``[re, im]`` cells.
 
-    The same bytes the per-value recursion gives: ``+ 0.0`` turns -0.0
-    into 0.0, which ``%.17g`` prints as ``0`` just like ``format_real``.
+    The same bytes the per-value recursion gives for the nested list of
+    cells: ``+ 0.0`` turns -0.0 into 0.0, which ``%.17g`` prints as
+    ``0`` just like ``format_real``, and a non-finite entry raises
+    ``format_real``'s error for the first one, row-major, re before im.
     """
-    regular = _grid_leaves(value)
-    if regular is None:
-        return None
-    width, leaves = regular
-    if set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
-        return None
-    row = "[" + ", ".join(("[%.17g, %.17g]",) * width) + "]"
-    template = "[" + ", ".join((row,) * len(value)) + "]"
-    return template % tuple(map(operator.add, leaves, repeat(0.0)))
+    leaves = np.ascontiguousarray(m, dtype=complex).view(float)
+    finite = np.isfinite(leaves)
+    if not finite.all():
+        format_real(leaves[~finite][0])
+    rows, cols = m.shape
+    row = "[" + ", ".join(("[%.17g, %.17g]",) * cols) + "]"
+    template = "[" + ", ".join((row,) * rows) + "]"
+    return template % tuple((leaves + 0.0).ravel().tolist())
 
 
 def _render(value, pad: str) -> str:
@@ -93,10 +93,9 @@ def _render(value, pad: str) -> str:
             lines.append(f"{inner}{json.dumps(key)}: {_render(val, inner)}{comma}")
         lines.append(pad + "}")
         return "\n".join(lines)
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "c":
+        return _render_matrix(value)
     if isinstance(value, (list, tuple)):
-        text = _render_grid(value)
-        if text is not None:
-            return text
         if any(isinstance(v, dict) for v in value):
             inner = pad + "  "
             body = ",\n".join(inner + _render(v, inner) for v in value)
@@ -114,20 +113,18 @@ def _render(value, pad: str) -> str:
 
 
 def dumps_canonical(doc: dict) -> str:
-    """Render a document to its canonical text, trailing newline included."""
+    """Render a document to its canonical text, trailing newline included.
+
+    A 2-D complex ndarray renders as its grid of ``[re, im]`` cells.
+    """
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
     return _render(doc, "") + "\n"
 
 
-def _grid(m) -> list:
-    """A complex matrix as the nested ``[[re, im], ...]`` grid of a document."""
-    arr = np.ascontiguousarray(m, dtype=complex)
-    return arr.view(float).reshape(arr.shape + (2,)).tolist()
-
-
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:
-    doc: dict = {"dims": [state.n_a, state.n_b], "rho": _grid(state.rho)}
+    """The document of ``state``: ``rho`` is ``state.rho`` itself, not a copy."""
+    doc: dict = {"dims": [state.n_a, state.n_b], "rho": state.rho}
     if meta:
         if not isinstance(meta, dict):
             raise StateFormatError("meta must map strings to strings")

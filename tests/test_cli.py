@@ -1,6 +1,7 @@
 """End-to-end checks of the qdisent command line."""
 
 import builtins
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from qdisent import file_digest
 from qdisent.cli import build_parser, main
+from qdisent.correlated import disentanglement_report
 from qdisent.stateio import dumps_canonical
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -470,13 +472,17 @@ def test_usage_errors_exit_3(tmp_path, monkeypatch, capsys):
         "env_tol", "dims_cap", "empty_dir"])
 def test_failure_routes_exit_3_with_exact_stderr(tmp_path, monkeypatch, capsys,
                                                  env, argv, err):
-    # argparse wraps its usage line at the terminal width
-    monkeypatch.setenv("COLUMNS", "80")
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty").mkdir()
-    assert run(capsys, *argv) == (3, "", err)
+    # the usage line wraps at a fixed width, whatever the terminal's
+    for columns in ("40", "80", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        assert run(capsys, *argv) == (3, "", err), columns
     assert not (tmp_path / "x.json").exists()
 
 
@@ -552,6 +558,22 @@ def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
     code, doc, _ = run_json(capsys, cmd, str(tmp_path / "s.json"))
     assert code == 1
     assert doc["error"] == "LinAlgError: Eigenvalues did not converge"
+
+
+def test_unrenderable_report_exits_3(tmp_path, monkeypatch, capsys):
+    # no state reaches a NaN factor; a report that holds one anyway fails
+    # the canonical render, which no item owns
+    write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
+
+    def with_nan(*args, **kwargs):
+        reps = disentanglement_report(*args, **kwargs)
+        factor = reps[0].factor_a.copy()
+        factor[1, 0] = complex(0.5, np.nan)
+        return [dataclasses.replace(reps[0], factor_a=factor)]
+
+    monkeypatch.setattr("qdisent.cli.disentanglement_report", with_nan)
+    assert run(capsys, "disentangle", str(tmp_path / "s.json")) == (
+        3, "", "error: StateFormatError: non-finite value nan cannot be serialized\n")
 
 
 @pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])

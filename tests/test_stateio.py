@@ -24,7 +24,7 @@ from qdisent import (
     save_state,
     state_to_doc,
 )
-from qdisent.stateio import _grid, _screen_grid, _walk_grid
+from qdisent.stateio import _screen_grid, _walk_grid
 
 
 # ---------------------------------------------------------------- round trips
@@ -105,7 +105,7 @@ def test_dumps_canonical_layout():
         '}\n'
     )
     assert dumps_canonical({"a": {}}) == '{\n  "a": {}\n}\n'
-    # a grid whose leaves are not all floats takes the per-value path
+    # a list grid takes the per-value path
     assert dumps_canonical({"g": [[[1, 0.5]]]}) == '{\n  "g": [[[1, 0.5]]]\n}\n'
 
 
@@ -136,8 +136,11 @@ def test_dumps_canonical_rejects_unknown_types():
         dumps_canonical({"v": {1, 2}})
     with pytest.raises(StateFormatError):
         dumps_canonical({"v": complex(1, 2)})
-    with pytest.raises(StateFormatError):
-        dumps_canonical({"v": np.ones(2)})
+    # of the arrays, only 2-D complex ones render, as grids
+    for array in (np.ones(2), np.ones(2, dtype=complex), np.ones((2, 2)),
+                  np.ones((1, 1, 1), dtype=complex)):
+        with pytest.raises(StateFormatError, match="^cannot serialize ndarray values$"):
+            dumps_canonical({"v": array})
     with pytest.raises(StateFormatError, match="object keys must be strings, got 1"):
         dumps_canonical({1: 2})
     for top in (dumps_canonical, doc_to_matrix):
@@ -335,26 +338,67 @@ def _bits(m):
     return np.ascontiguousarray(m).view(np.uint64)
 
 
+def _laid_out(m, layout):
+    """``m`` itself, its transposed view, or a strided view of its entries."""
+    if layout == "transposed":
+        return m.T
+    if layout == "sliced":
+        wide = np.zeros((m.shape[0], 2 * m.shape[1]), dtype=complex)
+        wide[:, ::2] = m
+        return wide[:, ::2]
+    return m
+
+
+LAYOUTS = st.sampled_from(["contiguous", "transposed", "sliced"])
+
+
+def _list_grid(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
 @settings(deadline=None)
 @given(st.integers(1, 6).flatmap(
-    lambda r: st.integers(1, 6).flatmap(lambda c: _complex_grids(r, c))))
-def test_grid_render_matches_per_value_walk(m):
-    grid = _grid(m)
-    reference = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-    assert repr(grid) == repr(reference)  # repr tells -0.0 from 0.0
-    assert dumps_canonical({"g": grid}) == '{\n  "g": ' + _reference_text(m) + "\n}\n"
+    lambda r: st.integers(1, 6).flatmap(lambda c: _complex_grids(r, c))), LAYOUTS)
+def test_grid_render_matches_per_value_walk(m, layout):
+    a = _laid_out(m, layout)
+    want = '{\n  "g": ' + _reference_text(a) + "\n}\n"
+    assert dumps_canonical({"g": a}) == want
+    # a hand-built list grid takes the per-value path to the same bytes
+    assert dumps_canonical({"g": _list_grid(a)}) == want
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(lambda c: _complex_grids(r, c))), LAYOUTS,
+    st.data())
+def test_grid_render_names_the_first_non_finite_leaf(m, layout, data):
+    leaves = m.view(float).reshape(-1)
+    spots = st.integers(0, leaves.size - 1)
+    for spot in data.draw(st.lists(spots, min_size=1, max_size=3)):
+        leaves[spot] = data.draw(NON_FINITE)
+    a = _laid_out(m, layout)
+    # the per-value walk raises for the first one, row-major, re before im
+    with pytest.raises(StateFormatError) as want:
+        dumps_canonical({"g": _list_grid(a)})
+    with pytest.raises(StateFormatError) as got:
+        dumps_canonical({"g": a})
+    assert str(got.value) == str(want.value)
 
 
 @settings(deadline=None)
 @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
-    lambda d: st.tuples(st.just(d), _complex_grids(d[0] * d[1], d[0] * d[1]))))
-def test_grid_parse_round_trips_rendered_text(case):
+    lambda d: st.tuples(st.just(d), _complex_grids(d[0] * d[1], d[0] * d[1]))), LAYOUTS)
+def test_grid_parse_round_trips_rendered_text(case, layout):
     dims, m = case
-    doc = json.loads(dumps_canonical({"dims": list(dims), "rho": _grid(m)}))
+    a = _laid_out(m, layout)
+    doc = json.loads(dumps_canonical({"dims": list(dims), "rho": a}))
     rho, back_dims = doc_to_matrix(doc)
     assert back_dims == dims
     # both zeros print as 0, so -0.0 comes back as 0.0
-    assert np.array_equal(_bits(rho), _bits(m + 0.0))
+    assert np.array_equal(_bits(rho), _bits(a + 0.0))
     assert np.array_equal(_bits(rho), _bits(_walk_grid(doc["rho"], len(m))))
 
 
