@@ -170,12 +170,14 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
         doc, item["digest"] = load_document(path)
         rho, dims = doc_to_matrix(doc)
         item["dims"] = [dims[0], dims[1]]
-        # an empty grid (a zero dim) has no defects; the dims check
-        # names the dims it rejects before the defects are needed
+        # an empty grid (a zero dim) has no defects: the dims check
+        # rejects it before they are needed; a non-finite defect has no
+        # canonical text, and the density check's error names it instead
         check = None
         if rho.size:
             check = density_defects(rho)
-            item.update(dataclasses.asdict(check))
+            item.update((key, value) for key, value in
+                        dataclasses.asdict(check).items() if math.isfinite(value))
         _bipartite_matrix(rho, dims)
         _require_density(check, tol)
     except (QDisentError, np.linalg.LinAlgError) as exc:

@@ -36,10 +36,6 @@ class DimensionMismatch(QDisentError):
     """Shapes or subsystem dimensions do not line up."""
 
 
-class ZeroProbability(QDisentError):
-    """A conditioning outcome has no weight to normalize by."""
-
-
 class ZeroDenominator(QDisentError):
     """A weighted reduction has no trace to normalize by."""
 
@@ -129,20 +125,26 @@ def density_defects(rho) -> DensityCheck:
     return _density_spectrum(_as_square(rho))[0]
 
 
+def _breach(what: str, value: float, rule: str) -> str:
+    """``what value rule``, or for a nan or infinite value, that it is not finite."""
+    if not math.isfinite(value):
+        return f"{what} {value} is not finite"
+    return f"{what} {value:.3e} {rule}"
+
+
 def _require_density(check: DensityCheck, tol: float) -> None:
-    """Raise for the first of hermiticity, unit trace and PSD that ``check`` breaches."""
-    if check.hermiticity_defect > tol:
-        raise NotHermitian(
-            f"hermiticity defect {check.hermiticity_defect:.3e} exceeds tol {tol:.3e}"
-        )
-    if check.trace_defect > tol:
-        raise TraceNotOne(
-            f"trace defect {check.trace_defect:.3e} exceeds tol {tol:.3e}"
-        )
-    if check.min_eigenvalue < -tol:
-        raise NotPSD(
-            f"smallest eigenvalue {check.min_eigenvalue:.3e} is below -tol {-tol:.3e}"
-        )
+    """Raise for the first of hermiticity, unit trace and PSD that ``check`` breaches.
+
+    Each test fails closed: a nan defect passes no comparison, so it is
+    a breach too.
+    """
+    herm, trace, low = check.hermiticity_defect, check.trace_defect, check.min_eigenvalue
+    if not herm <= tol:
+        raise NotHermitian(_breach("hermiticity defect", herm, f"exceeds tol {tol:.3e}"))
+    if not trace <= tol:
+        raise TraceNotOne(_breach("trace defect", trace, f"exceeds tol {tol:.3e}"))
+    if not low >= -tol:
+        raise NotPSD(_breach("smallest eigenvalue", low, f"is below -tol {-tol:.3e}"))
 
 
 def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -284,16 +286,6 @@ def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:
         )
     eye = np.eye(rest, dtype=complex)
     return tensor_product(arr, eye) if side == "A" else tensor_product(eye, arr)
-
-
-def validate_projector(p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check hermiticity and idempotence of a projector candidate."""
-    arr = _as_square(p, "projector")
-    _require_hermitian(arr, tol, "projector ")
-    idem = float(np.abs(arr @ arr - arr).max())
-    if idem > tol:
-        raise ValueError(f"projector is not idempotent, defect {idem:.3e}")
-    return arr
 
 
 def validate_observable(o, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,11 +50,6 @@ def _state_entropy(state: BipartiteState, tol: float) -> float:
     if w is None or tol < 0.0:
         return von_neumann_entropy(state.rho, tol)
     return _spectrum_entropy(w, tol)
-
-
-def entropy_bits(nats: float) -> float:
-    """Convert nats to bits, for display only."""
-    return nats / math.log(2.0)
 
 
 class PptResult(NamedTuple):

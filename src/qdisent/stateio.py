@@ -8,8 +8,8 @@ inline, every float prints with up to 17 significant digits and both
 zeros print as ``0``.  The same document therefore always produces the
 same bytes, which makes file digests meaningful.
 
-Structural problems raise StateFormatError; a file that parses but
-fails the density checks raises the usual core errors instead.
+Structural problems raise StateFormatError; whether a well-formed grid
+is a density matrix is left to ``BipartiteState``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_TOL, BipartiteState, QDisentError
+from .core import BipartiteState, QDisentError
 
 
 class StateFormatError(QDisentError):
@@ -39,24 +39,6 @@ def format_real(x: float) -> str:
     if v == 0.0:
         return "0"
     return format(v, ".17g")
-
-
-def _grid_leaves(grid):
-    """(width, leaves) of a regular grid of two-element list cells, else None.
-
-    The leaves come row-major, re before im.  This is the parse path's
-    whole-grid screen; anything it turns down goes to the per-value
-    code, which owns every error text.
-    """
-    if set(map(type, grid)) != {list}:
-        return None
-    widths = set(map(len, grid))
-    if len(widths) != 1:
-        return None
-    cells = list(chain.from_iterable(grid))
-    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
-        return None
-    return widths.pop(), list(chain.from_iterable(cells))
 
 
 def _render_matrix(m: np.ndarray) -> str:
@@ -163,10 +145,12 @@ def _screen_grid(grid: list, n: int):
     ``float`` (so no bool) and all finite.  On None the caller runs
     ``_walk_grid``, which names the first offending row, cell or leaf.
     """
-    regular = _grid_leaves(grid)
-    if regular is None or regular[0] != n:
+    if set(map(type, grid)) != {list} or set(map(len, grid)) != {n}:
         return None
-    leaves = regular[1]
+    cells = list(chain.from_iterable(grid))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(cells))
     if not set(map(type, leaves)) <= {int, float}:
         return None
     try:
@@ -231,16 +215,6 @@ def doc_to_matrix(doc) -> tuple[np.ndarray, tuple[int, int]]:
     return rho, (n_a, n_b)
 
 
-def doc_to_state(doc, tol: float = DEFAULT_TOL) -> BipartiteState:
-    """Build a validated state from a parsed document.
-
-    Schema violations raise StateFormatError; a well-formed grid that
-    is not a density matrix raises the corresponding core error.
-    """
-    rho, dims = doc_to_matrix(doc)
-    return BipartiteState(rho, dims, tol=tol)
-
-
 def _read(path) -> tuple[bytes, str]:
     """The file's bytes and their digest: the one read of a state file."""
     try:
@@ -270,10 +244,6 @@ def load_document(path) -> tuple[dict, str]:
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
     return doc, digest
-
-
-def load_state(path, tol: float = DEFAULT_TOL) -> BipartiteState:
-    return doc_to_state(load_document(path)[0], tol=tol)
 
 
 def save_state(path, state: BipartiteState, meta: dict | None = None) -> str:

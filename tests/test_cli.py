@@ -613,6 +613,85 @@ def test_overflowing_entries_print_no_warning(tmp_path, cmd, diag, corner):
     assert '"error": "LinAlgError: Eigenvalues did not converge"' in proc.stdout
 
 
+# I/4 on dims (2, 2) with a pair of entries near the double limit: every
+# entry is finite, but the hermitized matrix (mirrored pair) or the
+# hermiticity defect (unmirrored pair) overflows.  Per file: the entries
+# set, the defects validate can still report, the item's error.
+NON_FINITE_FILES = {
+    "mirrored": ({(2, 3): -1e308, (3, 2): -1e308},
+                 {"hermiticity_defect": 0.0, "trace_defect": 0.0},
+                 "NotPSD: smallest eigenvalue nan is not finite"),
+    "unmirrored": ({(0, 1): 1e308, (1, 0): -1e308},
+                   {"trace_defect": 0.0, "min_eigenvalue": 0.25},
+                   "NotHermitian: hermiticity defect inf is not finite"),
+}
+
+DEFAULT_ECHO = {
+    "validate": "validate --tol 1.0000000000000001e-09",
+    "analyze": "analyze --tol 1.0000000000000001e-09 --red-mode standard",
+    "disentangle": ("disentangle --method correlated --p 0.5 --b-re 0 --b-im 0"
+                    " --m 1 --tol 9.9999999999999998e-13 --max-iter 10000"
+                    " --damping 0"),
+}
+
+HALF_I2 = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+
+# the report fields of `generate bell`'s file after its dims
+BELL_FIELDS = {
+    "validate": {"hermiticity_defect": 0.0, "trace_defect": 0.0,
+                 "min_eigenvalue": 0.0, "valid": True, "error": None},
+    "analyze": {
+        "verdict": {"ppt_min_eig": -0.5, "ppt_pass": False,
+                    "red_min_eig_a": -0.5, "red_min_eig_b": -0.5,
+                    "red_pass": False, "red_mode": "standard",
+                    "entropy_ab": 0.0, "entropy_a": 0.69314718055994529,
+                    "entropy_b": 0.69314718055994529,
+                    "subadditivity_pass": True, "araki_lieb_pass": True,
+                    "all_pass": False},
+        "reduced_a": HALF_I2, "reduced_b": HALF_I2},
+    "disentangle": {
+        "method": "correlated", "factor_a": HALF_I2, "factor_b": HALF_I2,
+        "product": [[[0.25 if i == j else 0, 0] for j in range(4)]
+                    for i in range(4)],
+        "frobenius_to_input": 0.8660254037844386, "entropy_input": 0.0,
+        "entropy_product": 1.3862943611198906,
+        "entropy_change": 1.3862943611198906,
+        "solver": {"iterations": 1, "converged": True, "residual_a": 0.0,
+                   "residual_b": 0.0, "final_step_a": 0.0,
+                   "final_step_b": 0.0, "max_herm_defect": 0.0,
+                   "min_eig_seen": 0.5},
+        "error": None},
+}
+
+
+@pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_FILES))
+def test_non_finite_defect_is_an_invalid_item(tmp_path, monkeypatch, capsys,
+                                              cmd, name):
+    # alone and in a batch: exit 1, nothing on stderr, and a batch keeps
+    # the valid file's item; validate leaves the non-finite defect out
+    entries, defects, error = NON_FINITE_FILES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    run(capsys, "generate", "bell", "--out", "d/bell.json")
+    grid = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for (i, j), value in entries.items():
+        grid[i][j] = [value, 0.0]
+    path = f"d/{name}.json"
+    Path(path).write_text(dumps_canonical({"dims": [2, 2], "rho": grid}))
+    item: dict = {"input": path}
+    if cmd == "validate":
+        item.update(digest=file_digest(path), dims=[2, 2], **defects, valid=False)
+    item["error"] = error
+    bell = {"input": "d/bell.json", "digest": file_digest("d/bell.json"),
+            "dims": [2, 2], **BELL_FIELDS[cmd]}
+    echo = DEFAULT_ECHO[cmd]
+    assert run(capsys, cmd, path) == (
+        1, dumps_canonical({"command": f"{echo} {path}", **item}), "")
+    assert run(capsys, cmd, "d") == (
+        1, dumps_canonical({"command": f"{echo} d", "items": [bell, item]}), "")
+
+
 def test_subprocess_entry_point(tmp_path):
     proc = run_subprocess(tmp_path, "generate", "bell", "--out", "bell.json")
     assert proc.returncode == 0

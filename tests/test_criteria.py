@@ -14,7 +14,6 @@ from qdisent.core import (
 )
 from qdisent.criteria import (
     correlation_gap,
-    entropy_bits,
     ppt_test,
     reduction_criterion_test,
     separability_verdict,
@@ -41,7 +40,6 @@ def test_entropy_reference_values():
     assert von_neumann_entropy(np.outer(ket, ket.conj())) <= 1e-12
     for n in (2, 3, 4):
         assert abs(von_neumann_entropy(np.eye(n) / n) - np.log(n)) < 1e-12
-    assert abs(entropy_bits(np.log(2)) - 1.0) < 1e-15
 
 
 def test_entropy_unitary_invariance():

@@ -6,20 +6,15 @@ from qdisent.core import (
     DimensionMismatch,
     InvalidSpec,
     ZeroDenominator,
-    ZeroProbability,
     partial_trace,
-    product_state,
 )
 from qdisent.reductions import (
     averaged_projective_state,
-    conditional_state,
     neumann_equivalence_gap,
     neumann_reduce,
-    projective_collapse,
     validate_outcome_probs,
-    zeno_disentangle,
 )
-from qdisent.states import bell_state, random_density, random_state
+from qdisent.states import bell_state, random_state
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -31,55 +26,6 @@ def test_neumann_reduce_is_partial_trace():
     assert np.array_equal(neumann_reduce(state, "B"), partial_trace(state, "A"))
     with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
         neumann_reduce(state, keep="C")
-
-
-def test_projective_collapse_basics():
-    rho = np.diag([0.3, 0.7]).astype(complex)
-    proj = np.outer(E0, E0)
-    collapsed, prob = projective_collapse(rho, proj)
-    assert abs(prob - 0.3) < 1e-15
-    assert np.abs(collapsed - proj).max() < 1e-15
-
-    with pytest.raises(ZeroProbability):
-        projective_collapse(np.outer(E1, E1), proj)
-    with pytest.raises(ValueError):
-        projective_collapse(rho, np.eye(2) / 2)  # not a projector
-    with pytest.raises(DimensionMismatch, match=r"projector shape \(2, 2\) does"
-                       r" not match state shape \(4, 4\)"):
-        projective_collapse(bell_state().rho, np.eye(2))
-
-
-def test_conditional_state_on_bell():
-    bell = bell_state()
-    for outcome in (0, 1):
-        cond, prob = conditional_state(bell, outcome)
-        expected = np.outer(E0, E0) if outcome == 0 else np.outer(E1, E1)
-        assert abs(prob - 0.5) < 1e-15
-        assert np.abs(cond - expected).max() < 1e-15
-    with pytest.raises(DimensionMismatch):
-        conditional_state(bell, 2)
-    with pytest.raises(DimensionMismatch):
-        conditional_state(bell, -1)
-
-
-def test_conditional_state_zero_probability():
-    state = product_state(random_density(2, 1), np.outer(E0, E0))
-    with pytest.raises(ZeroProbability):
-        conditional_state(state, 1)
-
-
-def test_zeno_disentangle_structure():
-    bell = bell_state()
-    frozen = zeno_disentangle(bell, 0)
-    expected = np.kron(np.outer(E0, E0), np.outer(E0, E0))
-    assert isinstance(frozen, BipartiteState)
-    assert np.abs(frozen.rho - expected).max() < 1e-15
-
-    # generic case factors as conditional (x) outcome projector
-    state = random_state((2, 2), seed=6)
-    cond, _ = conditional_state(state, 1)
-    assert np.abs(zeno_disentangle(state, 1).rho
-                  - np.kron(cond, np.outer(E1, E1))).max() < 1e-15
 
 
 def test_validate_outcome_probs():

@@ -14,17 +14,20 @@ from qdisent import (
     StateFormatError,
     TraceNotOne,
     doc_to_matrix,
-    doc_to_state,
     dumps_canonical,
     file_digest,
     format_real,
     load_document,
-    load_state,
     random_state,
     save_state,
     state_to_doc,
 )
 from qdisent.stateio import _screen_grid, _walk_grid
+
+
+def _load(path):
+    """A state file as the command line loads it."""
+    return BipartiteState(*doc_to_matrix(load_document(path)[0]))
 
 
 # ---------------------------------------------------------------- round trips
@@ -35,7 +38,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, dims):
     state = random_state(dims, seed=3)
     path = tmp_path / "state.json"
     save_state(path, state)
-    back = load_state(path)
+    back = _load(path)
     assert back.dims == dims
     # %.17g regenerates every double exactly
     assert np.array_equal(back.rho, state.rho)
@@ -46,7 +49,7 @@ def test_resave_is_byte_identical(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     save_state(first, state)
-    save_state(second, load_state(first))
+    save_state(second, _load(first))
     assert first.read_bytes() == second.read_bytes()
     assert file_digest(first) == file_digest(second)
 
@@ -251,14 +254,14 @@ def test_doc_to_state_leaves_physics_errors_alone():
                    for i in range(4)]}
     doc["rho"][3][3] = [-1.6, 0]
     with pytest.raises(TraceNotOne):
-        doc_to_state(doc)
+        BipartiteState(*doc_to_matrix(doc))
 
 
 def test_doc_to_state_rejects_degenerate_dims():
     doc = _good_doc()
     doc["dims"] = [1, 4]
     with pytest.raises(DimensionMismatch):
-        doc_to_state(doc)
+        BipartiteState(*doc_to_matrix(doc))
 
 
 def test_state_to_doc_rejects_non_string_meta():
@@ -309,7 +312,7 @@ def test_load_state_validates(tmp_path):
     state = BipartiteState(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), (2, 2))
     path = tmp_path / "ok.json"
     save_state(path, state)
-    back = load_state(path)
+    back = _load(path)
     assert np.array_equal(back.rho, state.rho)
 
 
