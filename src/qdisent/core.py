@@ -78,10 +78,17 @@ def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _require_hermitian(arr: np.ndarray, tol: float, what: str = "") -> None:
-    """Raise NotHermitian, message prefixed by ``what``, if the defect exceeds tol."""
-    defect, _ = _hermitize(arr)
-    if defect > tol:
-        raise NotHermitian(f"{what}hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+    """Raise NotHermitian, message prefixed by ``what``, unless the defect is within tol.
+
+    Fails closed: a nan defect passes no comparison, so it is a breach
+    too.  Entries near the double limit or infinite make the defect inf
+    or nan, so numpy's overflow and invalid-value warnings are noise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect, _ = _hermitize(arr)
+    if not defect <= tol:
+        raise NotHermitian(what + _breach("hermiticity defect", defect,
+                                          f"exceeds tol {tol:.3e}"))
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,20 @@ def test_embed_local_places_operator_on_requested_side():
 def test_hermitian_eigenvalues_sorted_and_guarded():
     eigs = hermitian_eigenvalues(np.diag([0.7, 0.1, 0.2]))
     assert np.all(np.diff(eigs) >= 0)
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for m, defect in [
+        ([[0.0, 1.0], [0.0, 0.0]], "1.000e+00 exceeds tol 1.000e-09"),
+        ([[1e308, 0.0], [-1e308, 0.0]], "1.000e+308 exceeds tol 1.000e-09"),
+        # fails closed: a nan defect is a breach, not a pass
+        ([[np.nan, 0.0], [0.0, 1.0]], "nan is not finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "nan is not finite"),
+        ([[0.0, np.inf], [0.0, 0.0]], "inf is not finite"),
+    ]:
+        m = np.array(m, dtype=complex)
+        for fn, what in ((hermitian_eigenvalues, ""), (von_neumann_entropy, ""),
+                         (validate_observable, "observable ")):
+            with pytest.raises(NotHermitian) as info:
+                fn(m)
+            assert str(info.value) == f"{what}hermiticity defect {defect}"
 
 
 def test_projector_and_observable_validation():

@@ -1,8 +1,14 @@
-"""Properties over random dims 2..5, and a fuzz of every numeric CLI flag."""
+"""Properties over random dims 2..5, and fuzzes of every numeric CLI flag and of state files."""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdisent.cli import main
@@ -104,3 +110,73 @@ def test_numeric_flag_fuzz_keeps_the_exit_contract(tmp_path, monkeypatch, capsys
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), (flag, value, code)
         assert "Traceback" not in err
+
+
+# Leaves at the edges of the double range: zeros of both signs, denormals,
+# entries whose m + m^H overflows, one whose square does, and an int no
+# double holds.  Scales push a whole state out of range or to zero.
+FUZZ_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e154, 2 ** 53 + 1)
+FUZZ_SCALES = (1.0, 1e300, 1e-300, 0.0, -1.0)
+FUZZ_COMMANDS = (("validate",), ("analyze",), ("disentangle",),
+                 ("disentangle", "--method", "neumann"), ("disentangle", "--m", "2"))
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    """A state document: I/n, a rank-1 projector or a 0/1 diagonal, scaled,
+    then up to three leaves set from FUZZ_ENTRIES, each maybe with its mirror."""
+    # at 4x4 the product grid is wide enough to render from its upper triangle
+    n_a, n_b = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 4)]))
+    n = n_a * n_b
+    base = draw(st.sampled_from(["mixed", "projector", "diagonal"]))
+    if base == "mixed":
+        rho = np.eye(n) / n
+    elif base == "projector":
+        psi = random_ket(n, draw(SEEDS))
+        rho = np.outer(psi, psi.conj())
+    else:
+        rho = np.diag(draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)))
+    # most states keep scale 1, so that edits reach the checks after the trace
+    scale = draw(st.one_of(st.just(1.0), st.sampled_from(FUZZ_SCALES)))
+    rho = np.asarray(rho, dtype=complex) * scale
+    grid = [[[z.real, z.imag] for z in row] for row in rho.tolist()]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        part = draw(st.integers(0, 1))
+        value = draw(st.sampled_from(FUZZ_ENTRIES))
+        grid[i][j][part] = value
+        if draw(st.booleans()):  # mirrored: a hermitian grid stays hermitian
+            grid[j][i][part] = value if part == 0 else -value
+    return {"dims": [n_a, n_b], "rho": grid}
+
+
+def _edited_quarter_identity(entries):
+    grid = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    for (i, j), value in entries.items():
+        grid[i][j][0] = value
+    return {"dims": [2, 2], "rho": grid}
+
+
+def _no_constant(name):
+    raise ValueError(f"a report holds {name}")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_fuzzed_documents())
+@example(_edited_quarter_identity({(2, 3): -1e308, (3, 2): -1e308}))
+@example(_edited_quarter_identity({(0, 1): 1e308, (1, 0): -1e308}))
+def test_state_document_fuzz_keeps_the_exit_contract(doc):
+    # warnings are errors in this suite, so a numpy warning that would
+    # reach stderr fails here too
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "s.json")
+        Path(path).write_text(json.dumps(doc))
+        for cmd in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*cmd, path])
+            assert code in (0, 1, 2, 3), (cmd, code)
+            if code != 3:
+                assert err.getvalue() == "", (cmd, err.getvalue())
+            if out.getvalue():
+                json.loads(out.getvalue(), parse_constant=_no_constant)

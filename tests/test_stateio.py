@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdisent import (
@@ -22,7 +22,7 @@ from qdisent import (
     save_state,
     state_to_doc,
 )
-from qdisent.stateio import _screen_grid, _walk_grid
+from qdisent.stateio import _MIRROR_MIN_N, _screen_grid, _walk_grid
 
 
 def _load(path):
@@ -110,6 +110,24 @@ def test_dumps_canonical_layout():
     assert dumps_canonical({"a": {}}) == '{\n  "a": {}\n}\n'
     # a list grid takes the per-value path
     assert dumps_canonical({"g": [[[1, 0.5]]]}) == '{\n  "g": [[[1, 0.5]]]\n}\n'
+    # every container shape the one flat join emits: empty containers in a
+    # list of dicts, a grid in a dict in a list, a scalar list
+    doc = {"items": [{"e": [], "d": {}},
+                     {"g": np.array([[1 + 2j, -0.0 - 0.5j]]), "s": [1, [2.5, "x"]]}]}
+    assert dumps_canonical(doc) == (
+        '{\n'
+        '  "items": [\n'
+        '    {\n'
+        '      "e": [],\n'
+        '      "d": {}\n'
+        '    },\n'
+        '    {\n'
+        '      "g": [[[1, 2], [0, -0.5]]],\n'
+        '      "s": [1, [2.5, "x"]]\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    )
 
 
 def test_dumps_canonical_list_of_dicts_is_multiline():
@@ -359,9 +377,44 @@ def _list_grid(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+# both sides of the size at which a hermitian grid renders from its upper
+# triangle
+HERMITIAN_SIZES = st.integers(1, _MIRROR_MIN_N + 4)
+
+
+@st.composite
+def _hermitian_grids(draw, flaws=("sign", "ulp")):
+    """A drawn upper triangle, its mirror below and a +-0 imaginary diagonal.
+
+    Maybe one mirrored pair is then off by a sign or by one ulp; such a
+    grid is not hermitian, unless the changed leaf was a zero.
+    """
+    n = draw(HERMITIAN_SIZES)
+    rows, cols = np.triu_indices(n)
+    size = 2 * len(rows)
+    upper = np.array(draw(st.lists(DOUBLES, min_size=size, max_size=size))).view(complex)
+    m = np.empty((n, n), dtype=complex)
+    m[cols, rows] = upper.conj()
+    m[rows, cols] = upper
+    m.imag[np.diag_indices(n)] = draw(st.lists(st.sampled_from((0.0, -0.0)),
+                                               min_size=n, max_size=n))
+    flaw = draw(st.sampled_from((None,) + flaws)) if n > 1 else None
+    if flaw is not None:
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(0, i - 1))
+        part = m.real if draw(st.booleans()) else m.imag
+        part[i, j] = -part[i, j] if flaw == "sign" else np.nextafter(part[i, j], 0)
+    return m
+
+
+GRIDS = st.one_of(
+    st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
+        lambda c: _complex_grids(r, c))),
+    _hermitian_grids())
+
+
 @settings(deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda r: st.integers(1, 6).flatmap(lambda c: _complex_grids(r, c))), LAYOUTS)
+@given(GRIDS, LAYOUTS)
 def test_grid_render_matches_per_value_walk(m, layout):
     a = _laid_out(m, layout)
     want = '{\n  "g": ' + _reference_text(a) + "\n}\n"
@@ -373,15 +426,35 @@ def test_grid_render_matches_per_value_walk(m, layout):
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
+@st.composite
+def _non_finite_grids(draw):
+    """A grid with 1 to 3 nan or +-inf leaves planted, maybe each with its mirror."""
+    m = draw(st.one_of(
+        st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+            lambda c: _complex_grids(r, c))),
+        _hermitian_grids(flaws=())))
+    rows, cols = m.shape
+    mirrored = rows == cols and draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        part = draw(st.sampled_from(("real", "imag")))
+        bad = draw(NON_FINITE)
+        getattr(m, part)[i, j] = bad
+        if mirrored:  # an infinite pair is then equal to its mirror
+            getattr(m, part)[j, i] = bad if part == "real" else -bad
+    return m
+
+
+def _infinite_pair(n):
+    m = np.eye(n, dtype=complex) / n
+    m[0, 1] = m[1, 0] = np.inf
+    return m
+
+
 @settings(deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda r: st.integers(1, 5).flatmap(lambda c: _complex_grids(r, c))), LAYOUTS,
-    st.data())
-def test_grid_render_names_the_first_non_finite_leaf(m, layout, data):
-    leaves = m.view(float).reshape(-1)
-    spots = st.integers(0, leaves.size - 1)
-    for spot in data.draw(st.lists(spots, min_size=1, max_size=3)):
-        leaves[spot] = data.draw(NON_FINITE)
+@given(_non_finite_grids(), LAYOUTS)
+@example(_infinite_pair(_MIRROR_MIN_N), "contiguous")
+def test_grid_render_names_the_first_non_finite_leaf(m, layout):
     a = _laid_out(m, layout)
     # the per-value walk raises for the first one, row-major, re before im
     with pytest.raises(StateFormatError) as want:
