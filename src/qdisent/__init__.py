@@ -6,6 +6,8 @@ pair of finite-dimensional subsystems, plus a deterministic JSON state
 format and a command line front end (``qdisent``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DEFAULT_TOL,
     BipartiteState,
@@ -100,82 +102,6 @@ from .stateio import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "BipartiteState",
-    "DensityCheck",
-    "QDisentError",
-    "NotHermitian",
-    "TraceNotOne",
-    "NotPSD",
-    "NotPSDResult",
-    "DimensionMismatch",
-    "ZeroDenominator",
-    "InvalidSpec",
-    "InvalidPointer",
-    "density_defects",
-    "validate_density",
-    "validate_observable",
-    "tensor_product",
-    "product_state",
-    "partial_trace",
-    "partial_transpose",
-    "embed_local",
-    "hermitian_eigenvalues",
-    "GENERATOR_KINDS",
-    "GenSpec",
-    "generate",
-    "bell_state",
-    "pure_product",
-    "separable_mixture",
-    "maximally_mixed",
-    "random_state",
-    "random_ket",
-    "random_density",
-    "random_unitary",
-    "thermal_pointer",
-    "coherent_pointer",
-    "von_neumann_entropy",
-    "PptResult",
-    "ppt_test",
-    "ReductionResult",
-    "reduction_criterion_test",
-    "SubadditivityResult",
-    "subadditivity_check",
-    "witness_expectation",
-    "CorrelationGap",
-    "correlation_gap",
-    "SeparabilityVerdict",
-    "separability_verdict",
-    "neumann_reduce",
-    "validate_outcome_probs",
-    "averaged_projective_state",
-    "neumann_equivalence_gap",
-    "NonConvergence",
-    "SolverConfig",
-    "IterationRecord",
-    "CorrelatedPair",
-    "correlated_local_state",
-    "fixed_point_solve",
-    "fixed_point_residuals",
-    "NeumannMethod",
-    "PointerMethod",
-    "CorrelatedMethod",
-    "DisentanglementReport",
-    "disentanglement_report",
-    "BENCH_GATE",
-    "BenchRow",
-    "diagonal_pointer_local",
-    "diagonal_pointer_product",
-    "coherent_pointer_local",
-    "coherent_pointer_product",
-    "transcription_bench",
-    "StateFormatError",
-    "format_real",
-    "dumps_canonical",
-    "state_to_doc",
-    "doc_to_matrix",
-    "load_document",
-    "save_state",
-    "file_digest",
-]
+# every public name the imports above bind; the submodules stay out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

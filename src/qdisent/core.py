@@ -104,11 +104,11 @@ def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray | None]:
     """``density_defects`` of a square array, plus the ascending spectrum it solved.
 
     The spectrum is that of the hermitized matrix, so it is returned
-    only when the hermitization is ``m`` bit for bit (equal values and
-    equal sign bits); then it is also ``eigvalsh(m)`` bit for bit.  A
-    zero hermiticity defect is not enough: a zero whose sign differs
-    from its mirror's changes the hermitized bits, and LAPACK's last
-    bits with them.  Otherwise None.
+    only when the hermitization is ``m`` bit for bit (the same bytes);
+    then it is also ``eigvalsh(m)`` bit for bit.  A zero hermiticity
+    defect is not enough: a zero whose sign differs from its mirror's
+    changes the hermitized bits, and LAPACK's last bits with them.
+    Otherwise None.
     """
     # entries near the double limit overflow to inf and nan here; the
     # eigensolve then reports the failure, so numpy's warnings are noise
@@ -116,9 +116,7 @@ def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray | None]:
         herm, sym = _hermitize(m)
         trace = float(abs(m.trace() - 1.0))
     w = np.linalg.eigvalsh(sym)
-    exact = (herm == 0.0 and np.array_equal(sym, m)
-             and np.array_equal(np.signbit(sym.real), np.signbit(m.real))
-             and np.array_equal(np.signbit(sym.imag), np.signbit(m.imag)))
+    exact = sym.tobytes() == m.tobytes()
     return DensityCheck(herm, trace, float(w[0])), (w if exact else None)
 
 

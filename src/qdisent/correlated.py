@@ -11,7 +11,6 @@ trace, so the ordinary reduction is the uncorrelated special case.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -46,15 +45,6 @@ class NonConvergence(QDisentError):
 
 def _power(m: np.ndarray, k: int) -> np.ndarray:
     return m if k == 1 else np.linalg.matrix_power(m, k)
-
-
-def _warn_power(m: int, dims: tuple[int, int]) -> None:
-    bound = min(dims) ** 2 - 1
-    if m > bound:
-        warnings.warn(
-            f"power m = {m} exceeds the heuristic bound {bound} for dims {dims}",
-            stacklevel=3,
-        )
 
 
 def _identities(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +101,8 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
     side : str
         Which factor to produce.
     m : int
-        Power applied to the pointer before weighting.  Beyond
-        ``min(dims)**2 - 1`` a warning is emitted, nothing more.
+        Power applied to the pointer before weighting.  The heuristic
+        bound ``min(dims)**2 - 1`` is not enforced.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -125,7 +115,6 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
         raise DimensionMismatch(
             f"pointer shape {sigma.shape}, expected ({partner_dim}, {partner_dim})"
         )
-    _warn_power(k, state.dims)
     factor, _, _ = _weighted_reduction(state.rho, state.dims, _power(sigma, k),
                                        side, tol, _identities(state.dims))
     return factor
@@ -208,7 +197,6 @@ def fixed_point_solve(state: BipartiteState,
     guard = DEFAULT_TOL  # denominator and positivity guard, not the convergence tol
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     k = int(cfg.m_power)
-    _warn_power(k, state.dims)
     d = float(cfg.damping)
     eyes = _identities(state.dims)
 

@@ -12,6 +12,7 @@ from .core import (
     BipartiteState,
     DimensionMismatch,
     NotPSD,
+    _breach,
     embed_local,
     hermitian_eigenvalues,
     partial_trace,
@@ -25,9 +26,12 @@ EXPECTATION_IMAG_TOL = 1e-10
 
 
 def _spectrum_entropy(w: np.ndarray, tol: float) -> float:
-    """Entropy -sum(lam ln lam) in nats of an ascending spectrum ``w``."""
-    if w[0] < -tol:
-        raise NotPSD(f"smallest eigenvalue {w[0]:.3e} is below -tol {-tol:.3e}")
+    """Entropy -sum(lam ln lam) in nats of an ascending spectrum ``w``.
+
+    The PSD check fails closed: a nan smallest eigenvalue is a breach.
+    """
+    if not w[0] >= -tol:
+        raise NotPSD(_breach("smallest eigenvalue", w[0], f"is below -tol {-tol:.3e}"))
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-(nz * np.log(nz)).sum())

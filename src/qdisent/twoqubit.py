@@ -43,23 +43,29 @@ def _as_two_qubit(rho) -> np.ndarray:
 
 
 def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
-    """Check state and pointer, then divide ``terms(r)``'s numerator by its weight."""
+    """Check state and pointer, then divide the numerator ``terms(r)`` by its weight.
+
+    The weight is tr(rho (I x sigma)) for the pointer [[p, b], [b*, 1-p]].
+    At ``b = 0j`` its coherent terms add signed zeros, so a finite weight
+    keeps its value.  The check fails closed: a nan weight is a breach too.
+    """
     r = _as_two_qubit(rho)
     _check_pointer(p, b, tol)
-    num, den = terms(r)
-    if den <= tol:
+    num = terms(r)
+    q, bc = 1.0 - p, np.conj(b)
+    den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
+                 + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
+    if not den > tol:
         raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
     return num / den
 
 
 def _diagonal_local_terms(r: np.ndarray, p: float):
     q = 1.0 - p
-    num = np.array([
+    return np.array([
         [p * r[0, 0] + q * r[1, 1], p * r[0, 2] + q * r[1, 3]],
         [p * r[2, 0] + q * r[3, 1], p * r[2, 2] + q * r[3, 3]],
     ])
-    den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])).real)
-    return num, den
 
 
 def _diagonal_product_terms(r: np.ndarray, p: float, literal: bool):
@@ -74,22 +80,18 @@ def _diagonal_product_terms(r: np.ndarray, p: float, literal: bool):
     n[3, 1] = pq * r[2, 0] + q * q * (r[1, 1] if literal else r[3, 1])
     n[2, 2] = p * p * r[2, 2] + pq * r[3, 3]
     n[3, 3] = pq * r[2, 2] + q * q * r[3, 3]
-    den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])).real)
-    return n, den
+    return n
 
 
 def _coherent_local_terms(r: np.ndarray, p: float, b: complex):
     q = 1.0 - p
     bc = np.conj(b)
-    num = np.array([
+    return np.array([
         [p * r[0, 0] + bc * r[0, 1] + b * r[1, 0] + q * r[1, 1],
          p * r[0, 2] + bc * r[0, 3] + b * r[1, 2] + q * r[1, 3]],
         [p * r[2, 0] + bc * r[2, 1] + b * r[3, 0] + q * r[3, 1],
          p * r[2, 2] + bc * r[2, 3] + b * r[3, 2] + q * r[3, 3]],
     ])
-    den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
-                 + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
-    return num, den
 
 
 def _coherent_product_terms(r: np.ndarray, p: float, b: complex, literal: bool):
@@ -117,9 +119,7 @@ def _coherent_product_terms(r: np.ndarray, p: float, b: complex, literal: bool):
                + b2 * (r[3, 0] if literal else r[3, 2]) + q * b * r[3, 3])
     n[3, 2] = p * bc * r[2, 2] + bc2 * r[2, 3] + ab2 * r[3, 2] + q * bc * r[3, 3]
     n[3, 3] = pq * r[2, 2] + q * bc * r[2, 3] + q * b * r[3, 2] + q * q * r[3, 3]
-    den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
-                 + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
-    return n, den
+    return n
 
 
 def diagonal_pointer_local(rho, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -233,6 +233,12 @@ def test_hermitian_eigenvalues_sorted_and_guarded():
             with pytest.raises(NotHermitian) as info:
                 fn(m)
             assert str(info.value) == f"{what}hermiticity defect {defect}"
+    # the entropy's PSD check fails closed too, with the same finite text
+    for w, text in [([-0.5, 1.5], "-5.000e-01 is below -tol -1.000e-09"),
+                    ([np.nan, 1.0], "nan is not finite")]:
+        with pytest.raises(NotPSD) as info:
+            _spectrum_entropy(np.array(w), 1e-9)
+        assert str(info.value) == f"smallest eigenvalue {text}"
 
 
 def test_projector_and_observable_validation():

@@ -74,8 +74,6 @@ def test_correlated_local_state_argument_checks():
         correlated_local_state(state, np.eye(2) / 2, m=0)
     with pytest.raises(DimensionMismatch):
         correlated_local_state(state, np.eye(3) / 3, side="A")
-    with pytest.warns(UserWarning):
-        correlated_local_state(state, np.eye(2) / 2, m=4)  # beyond min(dims)^2 - 1
 
 
 def test_weighted_reduction_zero_denominator():

@@ -12,7 +12,10 @@ and a powered pointer reduction on a 3x2 state.  The ``readerr`` cases
 were recorded while the CLI still read each file twice (digest, then
 text): they pin the read path's error texts for CRLF and lone-CR line
 ends, an invalid UTF-8 byte past the first 8 KiB and a UTF-8 BOM, and
-the digest of a valid state written with CRLF line ends.
+the digest of a valid state written with CRLF line ends.  The
+``bench2q_1000_seed1`` case was recorded before the closed two-qubit
+tables shared one normalisation weight; it draws 1000 cases where the
+``bench2q`` case draws 50.
 Floating-point results depend on the numpy build, so the digests only
 hold for the numpy version they were recorded with.
 """
@@ -97,6 +100,7 @@ CASES = (
     ("batch_analyze", ("analyze", "batch")),
     ("batch_disentangle", ("disentangle", "batch")),
     ("bench2q", ("bench2q", "--cases", "50")),
+    ("bench2q_1000_seed1", ("bench2q", "--cases", "1000", "--seed", "1")),
     ("errwalk_validate", ("validate", "errwalk")),
     ("errwalk_analyze", ("analyze", "errwalk")),
     ("wide_generate_random44", ("generate", "random", "--dims", "4", "4",
@@ -126,6 +130,7 @@ GOLDEN = {
     "batch_analyze": (3, "f1136392b312241440a505b61431d283021764b1a5b7dc912bf9653594e0f77d"),
     "batch_disentangle": (3, "82bf543f1f29a51ea26ab62032224e09a6d9630f5a62a0de23b84c36742d781d"),
     "bench2q": (0, "b7d79d7578f77de226a5014065de7c8f5509f906cdc7beaa1af0fd08e7b9a620"),
+    "bench2q_1000_seed1": (0, "d2d3a7ea88675be52b8cd0f70d65a2ec1ed248227c8b08923edd9abd61e1d12b"),
     "errwalk_validate": (3, "49b3707f4301338809eacce14037fb498f94ea49c832937b7f1d8b0044380033"),
     "errwalk_analyze": (3, "9411d9f4e65dacdbcac54af290a87abc49003c75a73369944726c3c75beea39f"),
     "wide_generate_random44": (0, "599c26f48c603f4d5534d6c04ecdc9c0787507ec883882fefaad9ffd71b15569"),

@@ -74,6 +74,27 @@ def test_correlated_pair_changes_near_pure_entropy_least(dims, seed):
     assert corr.entropy_change <= neumann.entropy_change + 1e-12
 
 
+@st.composite
+def _pure_states(draw):
+    """Dims 2..5 each and a random ket on their joint space."""
+    dims = draw(DIMS)
+    return dims, random_ket(dims[0] * dims[1], draw(SEEDS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pure_states(), st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+def test_correlated_pair_changes_isotropic_entropy_least(pure, p):
+    # the claim over the whole isotropic family p|psi><psi| + (1-p)I/n:
+    # white noise at any level keeps it
+    dims, psi = pure
+    n = len(psi)
+    rho = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(n) / n
+    state = BipartiteState((rho + rho.conj().T) / 2, dims)
+    corr, neumann = disentanglement_report(state, [CorrelatedMethod(), NeumannMethod()])
+    assert corr.error is None
+    assert corr.entropy_change <= neumann.entropy_change + 1e-12
+
+
 # Every numeric flag, each after the arguments that make it matter.  The
 # bench2q base keeps --cases small; no listed value can reach an integer
 # flag as a large count, because argparse refuses 1e308 for an int.
@@ -117,8 +138,10 @@ def test_numeric_flag_fuzz_keeps_the_exit_contract(tmp_path, monkeypatch, capsys
 # double holds.  Scales push a whole state out of range or to zero.
 FUZZ_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e154, 2 ** 53 + 1)
 FUZZ_SCALES = (1.0, 1e300, 1e-300, 0.0, -1.0)
+# powers past min(dims)**2 - 1 (3 at dims 2x2, 2x3 and 3x2) run silently too
 FUZZ_COMMANDS = (("validate",), ("analyze",), ("disentangle",),
-                 ("disentangle", "--method", "neumann"), ("disentangle", "--m", "2"))
+                 ("disentangle", "--method", "neumann"), ("disentangle", "--m", "2"),
+                 ("disentangle", "--m", "4"), ("disentangle", "--method", "pointer", "--m", "4"))
 
 
 @st.composite

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from qdisent import (
@@ -412,9 +412,24 @@ GRIDS = st.one_of(
         lambda c: _complex_grids(r, c))),
     _hermitian_grids())
 
+# shrinking a failing grid of up to 20x20 leaves can take minutes, so the
+# properties that draw them report the first failing grid as drawn
+UNSHRUNK = settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
-@settings(deadline=None)
+
+def _one_ulp_off(n):
+    """An exactly hermitian n x n grid, then leaf (1, 0)'s imaginary part one ulp
+    toward 0: few drawn grids are both that wide and flawed there."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = (a + a.conj().T) / 2
+    m.imag[1, 0] = np.nextafter(m.imag[1, 0], 0)
+    return m
+
+
+@UNSHRUNK
 @given(GRIDS, LAYOUTS)
+@example(_one_ulp_off(_MIRROR_MIN_N), "contiguous")
 def test_grid_render_matches_per_value_walk(m, layout):
     a = _laid_out(m, layout)
     want = '{\n  "g": ' + _reference_text(a) + "\n}\n"
@@ -451,7 +466,7 @@ def _infinite_pair(n):
     return m
 
 
-@settings(deadline=None)
+@UNSHRUNK
 @given(_non_finite_grids(), LAYOUTS)
 @example(_infinite_pair(_MIRROR_MIN_N), "contiguous")
 def test_grid_render_names_the_first_non_finite_leaf(m, layout):

@@ -112,6 +112,12 @@ def test_zero_denominator_guard():
     rho = np.kron(np.eye(2) / 2, np.outer(e1, e1)).astype(complex)
     with pytest.raises(ZeroDenominator):
         diagonal_pointer_local(rho, 1.0)  # pointer fully on the empty level
+    # fails closed: a nan entry off the diagonal makes a nan weight
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 0] = np.nan
+    for table in (diagonal_pointer_local, coherent_pointer_local):
+        with pytest.raises(ZeroDenominator, match="normalization nan is not above tol"):
+            table(rho, 0.5)
 
 
 def test_transcription_bench_rows():
