@@ -77,18 +77,32 @@ def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.abs(m - mh).max()), (m + mh) / 2.0
 
 
-def _require_hermitian(arr: np.ndarray, tol: float, what: str = "") -> None:
-    """Raise NotHermitian, message prefixed by ``what``, unless the defect is within tol.
+def _guard(passed: bool, exc: type[QDisentError], what: str, value: float,
+           rule: str, bound: float) -> None:
+    """Raise ``exc`` unless ``passed`` holds and ``value`` is finite.
 
-    Fails closed: a nan defect passes no comparison, so it is a breach
-    too.  Entries near the double limit or infinite make the defect inf
-    or nan, so numpy's overflow and invalid-value warnings are noise.
+    The caller writes the comparison that lets ``value`` through
+    (``den > tol``), so a nan passes none and every check fails closed.
+    The message is ``what value rule bound``, both numbers ``.3e``, or
+    for a nan or infinite value that it is not finite; it is formatted
+    only on a raise, so a passing check costs no string.
+    """
+    if not math.isfinite(value):
+        raise exc(f"{what} {value} is not finite")
+    if not passed:
+        raise exc(f"{what} {value:.3e} {rule} {bound:.3e}")
+
+
+def _require_hermitian(arr: np.ndarray, tol: float,
+                       what: str = "hermiticity defect") -> None:
+    """Raise NotHermitian, message led by ``what``, unless the defect is within tol.
+
+    Entries near the double limit or infinite make the defect inf or
+    nan, so numpy's overflow and invalid-value warnings are noise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         defect, _ = _hermitize(arr)
-    if not defect <= tol:
-        raise NotHermitian(what + _breach("hermiticity defect", defect,
-                                          f"exceeds tol {tol:.3e}"))
+    _guard(defect <= tol, NotHermitian, what, defect, "exceeds tol", tol)
 
 
 @dataclass(frozen=True)
@@ -130,26 +144,12 @@ def density_defects(rho) -> DensityCheck:
     return _density_spectrum(_as_square(rho))[0]
 
 
-def _breach(what: str, value: float, rule: str) -> str:
-    """``what value rule``, or for a nan or infinite value, that it is not finite."""
-    if not math.isfinite(value):
-        return f"{what} {value} is not finite"
-    return f"{what} {value:.3e} {rule}"
-
-
 def _require_density(check: DensityCheck, tol: float) -> None:
-    """Raise for the first of hermiticity, unit trace and PSD that ``check`` breaches.
-
-    Each test fails closed: a nan defect passes no comparison, so it is
-    a breach too.
-    """
+    """Raise for the first of hermiticity, unit trace and PSD that ``check`` breaches."""
     herm, trace, low = check.hermiticity_defect, check.trace_defect, check.min_eigenvalue
-    if not herm <= tol:
-        raise NotHermitian(_breach("hermiticity defect", herm, f"exceeds tol {tol:.3e}"))
-    if not trace <= tol:
-        raise TraceNotOne(_breach("trace defect", trace, f"exceeds tol {tol:.3e}"))
-    if not low >= -tol:
-        raise NotPSD(_breach("smallest eigenvalue", low, f"is below -tol {-tol:.3e}"))
+    _guard(herm <= tol, NotHermitian, "hermiticity defect", herm, "exceeds tol", tol)
+    _guard(trace <= tol, TraceNotOne, "trace defect", trace, "exceeds tol", tol)
+    _guard(low >= -tol, NotPSD, "smallest eigenvalue", low, "is below -tol", -tol)
 
 
 def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -296,5 +296,5 @@ def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:
 def validate_observable(o, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check hermiticity of an observable candidate."""
     arr = _as_square(o, "observable")
-    _require_hermitian(arr, tol, "observable ")
+    _require_hermitian(arr, tol, "observable hermiticity defect")
     return arr

@@ -24,6 +24,7 @@ from .core import (
     QDisentError,
     ZeroDenominator,
     _frobenius,
+    _guard,
     _hermitize,
     _ptrace,
     partial_trace,
@@ -52,6 +53,20 @@ def _identities(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex)
 
 
+def _check_power(m) -> int:
+    k = int(m)
+    if k < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return k
+
+
+def _check_local(arr: np.ndarray, n: int, name: str) -> np.ndarray:
+    """``arr`` if it is an n x n operator on one subsystem, else DimensionMismatch."""
+    if arr.shape != (n, n):
+        raise DimensionMismatch(f"{name} shape {arr.shape}, expected ({n}, {n})")
+    return arr
+
+
 def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
                         partner_pow: np.ndarray, side: str, tol: float,
                         eyes: tuple[np.ndarray, np.ndarray]):
@@ -70,17 +85,12 @@ def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
         other, big = "A", tensor_product(partner_pow, eyes[1])
     num = _ptrace(rho @ big, dims[0], dims[1], over=other)
     den = float(num.trace().real)
-    if den <= tol:
-        raise ZeroDenominator(
-            f"weighted trace {den:.3e} is not above tol {tol:.3e}"
-        )
+    _guard(den > tol, ZeroDenominator, "weighted trace", den, "is not above tol", tol)
     defect, m = _hermitize(num / den)
     w, v = np.linalg.eigh(m)
     min_eig = float(w[0])
-    if min_eig < -tol:
-        raise NotPSDResult(
-            f"weighted reduction has eigenvalue {min_eig:.3e} below -tol {-tol:.3e}"
-        )
+    _guard(min_eig >= -tol, NotPSDResult, "weighted reduction has eigenvalue", min_eig,
+           "below -tol", -tol)
     if min_eig < 0.0:
         w = np.clip(w, 0.0, None)
         m = (v * w) @ v.conj().T
@@ -106,15 +116,9 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    k = int(m)
-    if k < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    k = _check_power(m)
     partner_dim = state.n_b if side == "A" else state.n_a
-    sigma = validate_density(pointer, tol)
-    if sigma.shape != (partner_dim, partner_dim):
-        raise DimensionMismatch(
-            f"pointer shape {sigma.shape}, expected ({partner_dim}, {partner_dim})"
-        )
+    sigma = _check_local(validate_density(pointer, tol), partner_dim, "pointer")
     factor, _, _ = _weighted_reduction(state.rho, state.dims, _power(sigma, k),
                                        side, tol, _identities(state.dims))
     return factor
@@ -248,9 +252,9 @@ def fixed_point_solve(state: BipartiteState,
 def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
                           tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Re-substitution distances of a candidate pair under the coupled maps."""
-    a = np.asarray(rho_a, dtype=complex)
-    b = np.asarray(rho_b, dtype=complex)
-    k = int(m)
+    k = _check_power(m)
+    a = _check_local(np.asarray(rho_a, dtype=complex), state.n_a, "rho_a")
+    b = _check_local(np.asarray(rho_b, dtype=complex), state.n_b, "rho_b")
     eyes = _identities(state.dims)
     fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol, eyes)
     fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol, eyes)

@@ -12,7 +12,7 @@ from .core import (
     BipartiteState,
     DimensionMismatch,
     NotPSD,
-    _breach,
+    _guard,
     embed_local,
     hermitian_eigenvalues,
     partial_trace,
@@ -26,12 +26,8 @@ EXPECTATION_IMAG_TOL = 1e-10
 
 
 def _spectrum_entropy(w: np.ndarray, tol: float) -> float:
-    """Entropy -sum(lam ln lam) in nats of an ascending spectrum ``w``.
-
-    The PSD check fails closed: a nan smallest eigenvalue is a breach.
-    """
-    if not w[0] >= -tol:
-        raise NotPSD(_breach("smallest eigenvalue", w[0], f"is below -tol {-tol:.3e}"))
+    """Entropy -sum(lam ln lam) in nats of an ascending spectrum ``w``."""
+    _guard(w[0] >= -tol, NotPSD, "smallest eigenvalue", w[0], "is below -tol", -tol)
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-(nz * np.log(nz)).sum())
@@ -133,7 +129,7 @@ def subadditivity_check(state: BipartiteState, slack: float = SUBADDITIVITY_SLAC
 
 def _real_expectation(rho: np.ndarray, op: np.ndarray) -> float:
     val = complex(np.trace(rho @ op))
-    if abs(val.imag) > EXPECTATION_IMAG_TOL:
+    if not abs(val.imag) <= EXPECTATION_IMAG_TOL:
         raise ValueError(
             f"expectation has imaginary part {val.imag:.3e} beyond "
             f"{EXPECTATION_IMAG_TOL:.1e}"

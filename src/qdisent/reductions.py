@@ -16,6 +16,7 @@ from .core import (
     InvalidSpec,
     ZeroDenominator,
     _frobenius,
+    _guard,
     partial_trace,
 )
 
@@ -34,9 +35,9 @@ def validate_outcome_probs(probs, n_b: int, tol: float = DEFAULT_TOL) -> np.ndar
     v = np.asarray(probs, dtype=float)
     if v.shape != (int(n_b),):
         raise DimensionMismatch(f"expected {n_b} probabilities, got shape {v.shape}")
-    if float(v.min()) < -tol:
+    if not float(v.min()) >= -tol:
         raise InvalidSpec(f"negative probability {float(v.min()):.3e}")
-    if abs(float(v.sum()) - 1.0) > tol:
+    if not abs(float(v.sum()) - 1.0) <= tol:
         raise InvalidSpec(f"probabilities sum to {float(v.sum()):.17g}, not 1")
     return np.clip(v, 0.0, None)
 
@@ -48,10 +49,7 @@ def averaged_projective_state(state: BipartiteState, probs,
     r = state.rho.reshape(state.n_a, state.n_b, state.n_a, state.n_b)
     num = np.einsum("b,abcb->ac", v, r)
     den = float(np.trace(num).real)
-    if den <= tol:
-        raise ZeroDenominator(
-            f"averaged trace {den:.3e} is not above tol {tol:.3e}"
-        )
+    _guard(den > tol, ZeroDenominator, "averaged trace", den, "is not above tol", tol)
     return num / den
 
 

@@ -133,7 +133,7 @@ def _check_pointer(p: float, b: complex, tol: float) -> None:
         b2 = abs(b) ** 2
     except OverflowError:  # |b| beyond about 1.3e154
         b2 = math.inf
-    if b2 > p * (1.0 - p) + tol:
+    if not b2 <= p * (1.0 - p) + tol:
         raise InvalidPointer(f"|b|^2 = {b2:.3e} exceeds p(1-p) = {p * (1.0 - p):.3e}")
 
 

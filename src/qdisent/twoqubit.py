@@ -22,6 +22,7 @@ from .core import (
     BipartiteState,
     DimensionMismatch,
     ZeroDenominator,
+    _guard,
     tensor_product,
 )
 from .correlated import correlated_local_state
@@ -47,7 +48,7 @@ def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
 
     The weight is tr(rho (I x sigma)) for the pointer [[p, b], [b*, 1-p]].
     At ``b = 0j`` its coherent terms add signed zeros, so a finite weight
-    keeps its value.  The check fails closed: a nan weight is a breach too.
+    keeps its value.
     """
     r = _as_two_qubit(rho)
     _check_pointer(p, b, tol)
@@ -55,8 +56,7 @@ def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
     q, bc = 1.0 - p, np.conj(b)
     den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
                  + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
-    if not den > tol:
-        raise ZeroDenominator(f"normalization {den:.3e} is not above tol {tol:.3e}")
+    _guard(den > tol, ZeroDenominator, "normalization", den, "is not above tol", tol)
     return num / den
 
 

@@ -15,7 +15,9 @@ import pytest
 
 from qdisent import (
     BipartiteState,
+    CorrelatedMethod,
     GenSpec,
+    NeumannMethod,
     SolverConfig,
     averaged_projective_state,
     bell_state,
@@ -23,6 +25,7 @@ from qdisent import (
     correlation_gap,
     diagonal_pointer_local,
     diagonal_pointer_product,
+    disentanglement_report,
     coherent_pointer_local,
     coherent_pointer_product,
     fixed_point_residuals,
@@ -329,6 +332,27 @@ def test_criterion_9_witness_and_correlation_gap():
                                      seed=seed))
             assert abs(correlation_gap(state, z, z).gap) <= 1e-12
         info["detail"] = f"lowest separable witness value {low:.3f}"
+
+
+def test_criterion_10_isotropic_family_keeps_the_entropy_claim():
+    with _crit(10, "correlated pair changes the entropy no more than the"
+                   " von Neumann pair on p|psi><psi| + (1-p)I/n") as info:
+        levels = (1.0, 0.99, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
+        low, count = np.inf, 0
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            n = dims[0] * dims[1]
+            for seed in range(10):
+                psi = random_ket(n, seed)
+                for p in levels:
+                    rho = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(n) / n
+                    state = BipartiteState((rho + rho.conj().T) / 2, dims)
+                    corr, neumann = disentanglement_report(
+                        state, [CorrelatedMethod(), NeumannMethod()])
+                    assert corr.error is None
+                    margin = neumann.entropy_change - corr.entropy_change
+                    assert margin >= -1e-12
+                    low, count = min(low, margin), count + 1
+        info["detail"] = f"smallest margin {low:.2e} nats over {count} states"
 
 
 if __name__ == "__main__":

@@ -1,9 +1,14 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qdisent.core import (
     BipartiteState,
     DimensionMismatch,
+    InvalidPointer,
+    InvalidSpec,
     NotPSDResult,
     ZeroDenominator,
     product_state,
@@ -14,12 +19,19 @@ from qdisent.correlated import (
     NonConvergence,
     PointerMethod,
     SolverConfig,
+    _identities,
+    _weighted_reduction,
     correlated_local_state,
     disentanglement_report,
     fixed_point_residuals,
     fixed_point_solve,
 )
-from qdisent.reductions import averaged_projective_state, neumann_reduce
+from qdisent.criteria import witness_expectation
+from qdisent.reductions import (
+    averaged_projective_state,
+    neumann_reduce,
+    validate_outcome_probs,
+)
 from qdisent.states import (
     bell_state,
     coherent_pointer,
@@ -91,6 +103,60 @@ def test_weighted_reduction_negative_eigenvalue_past_tol():
     state = BipartiteState(np.outer(ket, ket.conj()), (3, 2))
     with pytest.raises(NotPSDResult, match="eigenvalue -1.487e-16 below -tol"):
         correlated_local_state(state, np.eye(2) / 2, tol=1e-30)
+
+
+def _raises_exactly(exc, text):
+    return pytest.raises(exc, match="^" + re.escape(text) + "$")
+
+
+def test_tolerance_checks_fail_closed_on_nan():
+    nan = float("nan")
+    with _raises_exactly(ZeroDenominator, "weighted trace nan is not finite"):
+        fixed_point_residuals(bell_state(), np.eye(2) / 2, [[nan, 0], [0, 1]])
+    # finite weighted trace, but the A-block coherences sum past the double
+    # limit, so the hermitized factor and its spectrum come out nan
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 2] = rho[2, 0] = rho[1, 3] = rho[3, 1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), _raises_exactly(
+            NotPSDResult, "weighted reduction has eigenvalue nan is not finite"):
+        _weighted_reduction(rho, (2, 2), np.eye(2, dtype=complex), "A", 1e-9,
+                            _identities((2, 2)))
+    # a state that skipped validation, with a nan on its diagonal
+    raw = SimpleNamespace(rho=np.diag([nan, 0.5, 0.25, 0.25]).astype(complex),
+                          n_a=2, n_b=2)
+    with _raises_exactly(ZeroDenominator, "averaged trace nan is not finite"):
+        averaged_projective_state(raw, [0.5, 0.5])
+    with _raises_exactly(InvalidSpec, "negative probability nan"):
+        averaged_projective_state(bell_state(), [nan, nan])
+    # an infinite tol lets -inf through the sign check; inf - inf sums to nan
+    with np.errstate(invalid="ignore"), _raises_exactly(
+            InvalidSpec, "probabilities sum to nan, not 1"):
+        validate_outcome_probs([np.inf, -np.inf], 2, tol=np.inf)
+    with _raises_exactly(InvalidPointer, "|b|^2 = nan exceeds p(1-p) = 2.500e-01"):
+        coherent_pointer(0.5, complex(nan, 0.0))
+    # a valid state and a finite hermitian witness whose products overflow
+    # in rho @ W, so a diagonal entry of the product is -inf + nan j
+    psi = np.array([-0.47 - 0.46j, 0.27 + 0.41j, -0.05 + 0.36j, 0.02 + 0.44j])
+    psi /= np.linalg.norm(psi)
+    witness = np.zeros((4, 4), dtype=complex)
+    witness[1:, 0] = 1.7e308 * (1 + 1j)
+    witness[0, 1:] = 1.7e308 * (1 - 1j)
+    with np.errstate(over="ignore", invalid="ignore"), _raises_exactly(
+            ValueError, "expectation has imaginary part nan beyond 1.0e-10"):
+        witness_expectation(BipartiteState(np.outer(psi, psi.conj()), (2, 2)), witness)
+
+
+def test_fixed_point_residuals_argument_checks():
+    state = random_state((2, 3), seed=0)
+    rho_a, rho_b = np.eye(2) / 2, np.eye(3) / 3
+    assert min(fixed_point_residuals(state, rho_a, rho_b)) >= 0.0
+    for m in (0, -1):
+        with _raises_exactly(ValueError, f"m must be >= 1, got {m}"):
+            fixed_point_residuals(state, rho_a, rho_b, m=m)
+    for a, b in ((rho_b, rho_a), (np.eye(3) / 3, rho_b), (rho_a, rho_a),
+                 (np.ones(2) / 2, rho_b)):
+        with pytest.raises(DimensionMismatch):
+            fixed_point_residuals(state, a, b)
 
 
 def test_solver_config_validation():

@@ -382,14 +382,32 @@ def _list_grid(m):
 HERMITIAN_SIZES = st.integers(1, _MIRROR_MIN_N + 4)
 
 
+def _mostly(common, rare):
+    """``common`` three times in four, else ``rare`` (st.one_of drops a
+    repeated branch, so it cannot weight one)."""
+    return st.sampled_from((rare, common, common, common)).flatmap(lambda s: s)
+
+
+# only a wide hermitian grid takes the triangle path, so only there can a
+# flaw show a wrong hermitian test: the render property draws those most
+MOSTLY_WIDE_SIZES = _mostly(st.integers(_MIRROR_MIN_N, _MIRROR_MIN_N + 4),
+                                  st.integers(1, _MIRROR_MIN_N - 1))
+
+
 @st.composite
-def _hermitian_grids(draw, flaws=("sign", "ulp")):
+def _hermitian_grids(draw, flaws=("sign", "ulp"), sizes=MOSTLY_WIDE_SIZES):
     """A drawn upper triangle, its mirror below and a +-0 imaginary diagonal.
 
-    Maybe one mirrored pair is then off by a sign or by one ulp; such a
-    grid is not hermitian, unless the changed leaf was a zero.
+    Maybe one part, real or imaginary, then gets one of ``flaws`` or all
+    of them, each at a drawn mirrored pair: a sign flip, or one ulp
+    toward zero (a zero moves off it, so an ulp flaw always breaks
+    hermiticity).  With the flaws in one part, a hermitian test that
+    reads only the other part takes the grid for hermitian; with a sign
+    flaw alone, so does one that reads only magnitudes.  The imaginary
+    part is drawn twice as often as the real one, since the render shares
+    |im| between mirrors: of the flaws there, only an ulp one shows.
     """
-    n = draw(HERMITIAN_SIZES)
+    n = draw(sizes)
     rows, cols = np.triu_indices(n)
     size = 2 * len(rows)
     upper = np.array(draw(st.lists(DOUBLES, min_size=size, max_size=size))).view(complex)
@@ -398,19 +416,21 @@ def _hermitian_grids(draw, flaws=("sign", "ulp")):
     m[rows, cols] = upper
     m.imag[np.diag_indices(n)] = draw(st.lists(st.sampled_from((0.0, -0.0)),
                                                min_size=n, max_size=n))
-    flaw = draw(st.sampled_from((None,) + flaws)) if n > 1 else None
-    if flaw is not None:
+    part = draw(st.sampled_from((None, "real", "imag", "imag"))) if n > 1 and flaws else None
+    chosen = draw(st.sampled_from([(f,) for f in flaws] + [flaws])) if part else ()
+    for flaw in chosen:
         i = draw(st.integers(1, n - 1))
         j = draw(st.integers(0, i - 1))
-        part = m.real if draw(st.booleans()) else m.imag
-        part[i, j] = -part[i, j] if flaw == "sign" else np.nextafter(part[i, j], 0)
+        leaves = getattr(m, part)
+        x = leaves[i, j]
+        leaves[i, j] = -x if flaw == "sign" else np.nextafter(x, 0.0 if x else 1.0)
     return m
 
 
-GRIDS = st.one_of(
+GRIDS = _mostly(
+    _hermitian_grids(),
     st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
-        lambda c: _complex_grids(r, c))),
-    _hermitian_grids())
+        lambda c: _complex_grids(r, c))))
 
 # shrinking a failing grid of up to 20x20 leaves can take minutes, so the
 # properties that draw them report the first failing grid as drawn
@@ -447,7 +467,7 @@ def _non_finite_grids(draw):
     m = draw(st.one_of(
         st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
             lambda c: _complex_grids(r, c))),
-        _hermitian_grids(flaws=())))
+        _hermitian_grids(flaws=(), sizes=HERMITIAN_SIZES)))
     rows, cols = m.shape
     mirrored = rows == cols and draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
