@@ -61,6 +61,8 @@ EXIT_INVALID = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_FORMAT = 3
 
+_ITEM_ERRORS = (QDisentError, np.linalg.LinAlgError)
+
 # largest n_a * n_b that ``generate`` draws: one complex matrix is then
 # at most 16 MiB
 GENERATE_MAX_DIM = 1024
@@ -140,12 +142,21 @@ def _expand(path: str) -> tuple[list[str], bool]:
 
 
 def _run_batch(echo: str, path: str, item_fn) -> int:
-    """Run ``item_fn`` per file under ``path``; emit one report, return the worst code."""
+    """Run ``item_fn`` per file under ``path``; emit one report, return the worst code.
+
+    ``item_fn(path, item)`` fills the item and returns its exit code; an
+    ``_ITEM_ERRORS`` error it raises becomes the item's error instead.
+    """
     paths, batch = _expand(path)
     items = []
     worst = EXIT_OK
     for item_path in paths:
-        item, code = item_fn(item_path)
+        item: dict = {"input": item_path}
+        try:
+            code = item_fn(item_path, item)
+        except _ITEM_ERRORS as exc:
+            item["error"] = f"{type(exc).__name__}: {exc}"
+            code = EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
         items.append(item)
         worst = max(worst, code)
     if batch:
@@ -156,16 +167,9 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
     return worst
 
 
-def _item_error(item: dict, exc: Exception) -> int:
-    """Record ``exc`` as the item's error; a format error exits 3, the rest 1."""
-    item["error"] = f"{type(exc).__name__}: {exc}"
-    return EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
-
-
 # ---------------------------------------------------------------- validate
 
-def _validate_item(path: str, tol: float) -> tuple[dict, int]:
-    item: dict = {"input": path}
+def _validate_item(path: str, item: dict, tol: float) -> int:
     try:
         doc, item["digest"] = load_document(path)
         rho, dims = doc_to_matrix(doc)
@@ -180,52 +184,48 @@ def _validate_item(path: str, tol: float) -> tuple[dict, int]:
                         dataclasses.asdict(check).items() if math.isfinite(value))
         _bipartite_matrix(rho, dims)
         _require_density(check, tol)
-    except (QDisentError, np.linalg.LinAlgError) as exc:
+    except _ITEM_ERRORS:
+        # ``valid`` comes before the ``error`` that _run_batch records
         item["valid"] = False
-        return item, _item_error(item, exc)
+        raise
     item["valid"] = True
     item["error"] = None
-    return item, EXIT_OK
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     tol = _resolve_tol(args.tol)
     echo = f"validate --tol {format_real(tol)} {args.path}"
-    return _run_batch(echo, args.path, lambda path: _validate_item(path, tol))
+    return _run_batch(echo, args.path, functools.partial(_validate_item, tol=tol))
 
 
 # ----------------------------------------------------------------- analyze
 
-def _load_item(path: str, tol: float):
-    """Shared load step: returns (state, header dict) or (None, error item)."""
-    try:
-        doc, digest = load_document(path)
-        state = BipartiteState(*doc_to_matrix(doc), tol=tol)
-    except (QDisentError, np.linalg.LinAlgError) as exc:
-        item = {"input": path}
-        return None, (item, _item_error(item, exc))
-    return state, ({"input": path, "digest": digest,
-                    "dims": [state.n_a, state.n_b]}, EXIT_OK)
+def _load_state(path: str, item: dict, tol: float) -> BipartiteState:
+    """Load ``path`` as a state; its digest and dims enter ``item`` once it is valid."""
+    doc, digest = load_document(path)
+    state = BipartiteState(*doc_to_matrix(doc), tol=tol)
+    item["digest"] = digest
+    item["dims"] = [state.n_a, state.n_b]
+    return state
 
 
-def _analyze_item(path: str, tol: float, mode: str) -> tuple[dict, int]:
-    state, (item, code) = _load_item(path, tol)
-    if state is None:
-        return item, code
+def _analyze_item(path: str, item: dict, tol: float, mode: str) -> int:
+    state = _load_state(path, item, tol)
     verdict = separability_verdict(state, mode=mode, tol=tol)
     fields = dataclasses.asdict(verdict)
     fields["all_pass"] = verdict.all_pass
     item["verdict"] = fields
     item["reduced_a"] = neumann_reduce(state, keep="A")
     item["reduced_b"] = neumann_reduce(state, keep="B")
-    return item, EXIT_OK if verdict.all_pass else EXIT_INVALID
+    return EXIT_OK if verdict.all_pass else EXIT_INVALID
 
 
 def cmd_analyze(args) -> int:
     tol = _resolve_tol(args.tol)
     echo = f"analyze --tol {format_real(tol)} --red-mode {args.red_mode} {args.path}"
     return _run_batch(echo, args.path,
-                      lambda path: _analyze_item(path, tol, args.red_mode))
+                      functools.partial(_analyze_item, tol=tol, mode=args.red_mode))
 
 
 # ------------------------------------------------------------- disentangle
@@ -257,10 +257,8 @@ def _method_spec(args):
     return CorrelatedMethod(config)
 
 
-def _disentangle_item(path: str, vtol: float, spec) -> tuple[dict, int]:
-    state, (item, code) = _load_item(path, vtol)
-    if state is None:
-        return item, code
+def _disentangle_item(path: str, item: dict, vtol: float, spec) -> int:
+    state = _load_state(path, item, vtol)
     rep = disentanglement_report(state, [spec], tol=vtol)[0]
     item["method"] = rep.method
     item["factor_a"] = rep.factor_a
@@ -273,8 +271,8 @@ def _disentangle_item(path: str, vtol: float, spec) -> tuple[dict, int]:
     item["solver"] = _solver_doc(rep.solver)
     item["error"] = rep.error
     if rep.solver is not None and not rep.solver.converged:
-        return item, EXIT_NONCONVERGENCE
-    return item, EXIT_OK if rep.error is None else EXIT_INVALID
+        return EXIT_NONCONVERGENCE
+    return EXIT_OK if rep.error is None else EXIT_INVALID
 
 
 def cmd_disentangle(args) -> int:
@@ -293,7 +291,7 @@ def cmd_disentangle(args) -> int:
             f" --max-iter {args.max_iter} --damping {format_real(args.damping)}"
             f" {args.path}")
     return _run_batch(echo, args.path,
-                      lambda path: _disentangle_item(path, vtol, spec))
+                      functools.partial(_disentangle_item, vtol=vtol, spec=spec))
 
 
 # ------------------------------------------------------------------ generate
@@ -392,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--tol", type=float, default=None,
                    help=f"validation tolerance (default {ENV_TOL} or"
                         f" {DEFAULT_TOL})")
-    a.add_argument("--red-mode", dest="red_mode",
-                   choices=("standard", "literal"), default="standard",
+    a.add_argument("--red-mode", choices=("standard", "literal"), default="standard",
                    help="reduction-criterion variant")
     a.set_defaults(func=cmd_analyze)
 
@@ -404,15 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default="correlated")
     d.add_argument("--p", type=float, default=0.5,
                    help="pointer population of the upper level")
-    d.add_argument("--b-re", dest="b_re", type=float, default=0.0,
+    d.add_argument("--b-re", type=float, default=0.0,
                    help="pointer coherence, real part")
-    d.add_argument("--b-im", dest="b_im", type=float, default=0.0,
+    d.add_argument("--b-im", type=float, default=0.0,
                    help="pointer coherence, imaginary part")
     d.add_argument("--m", type=int, default=1,
                    help="partner-weight power for pointer/correlated methods")
     d.add_argument("--tol", type=float, default=1e-12,
                    help="solver convergence tolerance")
-    d.add_argument("--max-iter", dest="max_iter", type=int, default=10000)
+    d.add_argument("--max-iter", type=int, default=10000)
     d.add_argument("--damping", type=float, default=0.0,
                    help="blend factor toward the previous iterate")
     d.set_defaults(func=cmd_disentangle)

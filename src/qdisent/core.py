@@ -59,6 +59,13 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _check_local(arr: np.ndarray, n: int, name: str) -> np.ndarray:
+    """``arr`` if it is an n x n operator on one subsystem, else DimensionMismatch."""
+    if arr.shape != (n, n):
+        raise DimensionMismatch(f"{name} shape {arr.shape}, expected ({n}, {n})")
+    return arr
+
+
 def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm of a complex array: numpy's own ``sqrt(re.re + im.im)``, same bits."""
     x = x.ravel(order="K")

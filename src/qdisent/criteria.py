@@ -12,6 +12,7 @@ from .core import (
     BipartiteState,
     DimensionMismatch,
     NotPSD,
+    _check_local,
     _guard,
     embed_local,
     hermitian_eigenvalues,
@@ -161,13 +162,8 @@ def correlation_gap(state: BipartiteState, obs_a, obs_b,
     Zero gap for every observable pair is what a product state looks
     like; a nonzero gap quantifies correlation in these observables.
     """
-    a = validate_observable(obs_a, tol)
-    b = validate_observable(obs_b, tol)
-    n_a, n_b = state.dims
-    if a.shape != (n_a, n_a):
-        raise DimensionMismatch(f"obs_a shape {a.shape}, expected ({n_a}, {n_a})")
-    if b.shape != (n_b, n_b):
-        raise DimensionMismatch(f"obs_b shape {b.shape}, expected ({n_b}, {n_b})")
+    a = _check_local(validate_observable(obs_a, tol), state.n_a, "obs_a")
+    b = _check_local(validate_observable(obs_b, tol), state.n_b, "obs_b")
     joint = _real_expectation(state.rho, tensor_product(a, b))
     mean_a = _real_expectation(state.rho, embed_local(a, "A", state.dims))
     mean_b = _real_expectation(state.rho, embed_local(b, "B", state.dims))

@@ -17,6 +17,7 @@ from .core import (
     ZeroDenominator,
     _frobenius,
     _guard,
+    _ptrace,
     partial_trace,
 )
 
@@ -46,8 +47,7 @@ def averaged_projective_state(state: BipartiteState, probs,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Probability-weighted mix of the unnormalized B blocks, renormalized."""
     v = validate_outcome_probs(probs, state.n_b, tol)
-    r = state.rho.reshape(state.n_a, state.n_b, state.n_a, state.n_b)
-    num = np.einsum("b,abcb->ac", v, r)
+    num = _ptrace(state.rho * np.tile(v, state.n_a), state.n_a, state.n_b, over="B")
     den = float(np.trace(num).real)
     _guard(den > tol, ZeroDenominator, "averaged trace", den, "is not above tol", tol)
     return num / den

@@ -692,6 +692,92 @@ def test_non_finite_defect_is_an_invalid_item(tmp_path, monkeypatch, capsys,
         1, dumps_canonical({"command": f"{echo} d", "items": [bell, item]}), "")
 
 
+# I/4 with small edits that validate accepts.  In "a" the partial trace
+# over B sums two imaginary parts, so it is not hermitian within tol;
+# "b" is not exactly hermitian, so its entropy re-solves the spectrum
+# from the lower triangle, which sits below -tol
+NEAR_BOUND_EDITS = {
+    "a": (1, dict.fromkeys([(0, 2), (2, 0), (1, 3), (3, 1)], 4.5e-10)),
+    "b": (0, {(0, 1): 0.25 + 0.3e-9, (1, 0): 0.25 + 1.2e-9}),
+    "i4": (0, {}),
+}
+HERM_A = "NotHermitian: hermiticity defect 1.800e-09 exceeds tol 1.000e-09"
+PSD_B = "NotPSD: smallest eigenvalue -1.200e-09 is below -tol -1.000e-09"
+QUARTER = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]
+LN4 = 1.3862943611198906
+I4_PAIR = {"factor_a": HALF_I2, "factor_b": HALF_I2, "product": QUARTER,
+           "frobenius_to_input": 0.0, "entropy_input": LN4, "entropy_product": LN4,
+           "entropy_change": 0.0}
+# (exit code, report fields after dims) of each file, per command
+NEAR_BOUND_ITEMS = {
+    "analyze": {
+        "a": (1, {"error": HERM_A}),
+        "b": (1, {"error": PSD_B}),
+        "i4": (0, {"verdict": {"ppt_min_eig": 0.25, "ppt_pass": True,
+                               "red_min_eig_a": 0.25, "red_min_eig_b": 0.25,
+                               "red_pass": True, "red_mode": "standard",
+                               "entropy_ab": LN4, "entropy_a": 0.69314718055994529,
+                               "entropy_b": 0.69314718055994529,
+                               "subadditivity_pass": True, "araki_lieb_pass": True,
+                               "all_pass": True},
+                   "reduced_a": HALF_I2, "reduced_b": HALF_I2}),
+    },
+    "correlated": {
+        "a": (0, {"method": "correlated", "factor_a": HALF_I2, "factor_b": HALF_I2,
+                  "product": QUARTER, "frobenius_to_input": 9e-10,
+                  "entropy_input": 1.3862943611198908, "entropy_product": LN4,
+                  "entropy_change": -2.2204460492503131e-16,
+                  "solver": {"iterations": 2, "converged": True, "residual_a": 0.0,
+                             "residual_b": 0.0, "final_step_a": 0.0,
+                             "final_step_b": 0.0, "max_herm_defect": 1.8e-09,
+                             "min_eig_seen": 0.5},
+                  "error": None}),
+        "b": (1, {"error": PSD_B}),
+        "i4": (0, {"method": "correlated", **I4_PAIR,
+                   "solver": {"iterations": 1, "converged": True, "residual_a": 0.0,
+                              "residual_b": 0.0, "final_step_a": 0.0,
+                              "final_step_b": 0.0, "max_herm_defect": 0.0,
+                              "min_eig_seen": 0.5},
+                   "error": None}),
+    },
+    "neumann": {
+        "a": (1, {"method": "neumann",
+                  "factor_a": [[[0.5, 0], [0, 9e-10]], [[0, 9e-10], [0.5, 0]]],
+                  "factor_b": HALF_I2, "product": None, "frobenius_to_input": None,
+                  "entropy_input": 1.3862943611198908, "entropy_product": None,
+                  "entropy_change": None, "solver": None, "error": HERM_A}),
+        "b": (1, {"error": PSD_B}),
+        "i4": (0, {"method": "neumann", **I4_PAIR, "solver": None, "error": None}),
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(NEAR_BOUND_ITEMS))
+def test_library_error_after_load_is_an_invalid_item(tmp_path, monkeypatch, capsys,
+                                                     key):
+    # a library error raised after a state loads is that item's error,
+    # exit 1: alone and in a batch, where the other items keep their reports
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    expected = NEAR_BOUND_ITEMS[key]
+    argv = ["analyze"] if key == "analyze" else ["disentangle", "--method", key]
+    echo = DEFAULT_ECHO[argv[0]].replace("correlated", key)
+    items, worst = [], 0
+    for name, (part, entries) in NEAR_BOUND_EDITS.items():
+        grid = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        for (i, j), value in entries.items():
+            grid[i][j][part] = value
+        path = f"d/{name}.json"
+        Path(path).write_text(dumps_canonical({"dims": [2, 2], "rho": grid}))
+        code, fields = expected[name]
+        item = {"input": path, "digest": file_digest(path), "dims": [2, 2], **fields}
+        assert run(capsys, *argv, path) == (
+            code, dumps_canonical({"command": f"{echo} {path}", **item}), "")
+        items.append(item)
+        worst = max(worst, code)
+    assert run(capsys, *argv, "d") == (
+        worst, dumps_canonical({"command": f"{echo} d", "items": items}), "")
+
 def test_subprocess_entry_point(tmp_path):
     proc = run_subprocess(tmp_path, "generate", "bell", "--out", "bell.json")
     assert proc.returncode == 0

@@ -159,6 +159,17 @@ def test_fixed_point_residuals_argument_checks():
             fixed_point_residuals(state, a, b)
 
 
+def test_fixed_point_residuals_report_an_overflowing_candidate():
+    # no numpy warning: an overflowing candidate gives an infinite
+    # distance, or with m=2 a nan weighted trace that the guard names
+    state = random_state((2, 2), seed=1)
+    huge = [[1e308, 0], [0, 1e308]]
+    res_a, res_b = fixed_point_residuals(state, np.eye(2) / 2, huge)
+    assert np.isfinite(res_a) and res_b == np.inf
+    with _raises_exactly(ZeroDenominator, "weighted trace nan is not finite"):
+        fixed_point_residuals(state, np.eye(2) / 2, huge, m=2)
+
+
 def test_solver_config_validation():
     state = random_state((2, 2), seed=1)
     for bad in (SolverConfig(damping=1.0), SolverConfig(damping=-0.1),

@@ -21,6 +21,7 @@ from qdisent.correlated import (
     fixed_point_solve,
 )
 from qdisent.criteria import ppt_test, reduction_criterion_test
+from qdisent.reductions import averaged_projective_state, validate_outcome_probs
 from qdisent.stateio import save_state
 from qdisent.states import random_density, random_ket, random_state, separable_mixture
 
@@ -37,6 +38,22 @@ def test_partial_trace_of_a_product_returns_its_factors(dims, seed):
     state = product_state(a, b)
     assert np.abs(partial_trace(state, over="B") - a).max() < 1e-12
     assert np.abs(partial_trace(state, over="A") - b).max() < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(DIMS, SEEDS, st.data())
+def test_averaged_projective_state_matches_the_weighted_einsum(dims, seed, data):
+    # the column-weighted partial trace has the bytes of the direct
+    # contraction, zero weights included
+    n_a, n_b = dims
+    state = random_state(dims, seed)
+    weights = data.draw(st.lists(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.0, 1.0),
+                                 min_size=n_b, max_size=n_b).filter(any))
+    probs = np.array(weights) / sum(weights)
+    v = validate_outcome_probs(probs, n_b)
+    num = np.einsum("b,abcb->ac", v, state.rho.reshape(n_a, n_b, n_a, n_b))
+    expected = num / float(np.trace(num).real)
+    assert averaged_projective_state(state, probs).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=10, deadline=None)
@@ -173,10 +190,10 @@ def _fuzzed_documents(draw):
     return {"dims": [n_a, n_b], "rho": grid}
 
 
-def _edited_quarter_identity(entries):
+def _edited_quarter_identity(entries, part=0):
     grid = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     for (i, j), value in entries.items():
-        grid[i][j][0] = value
+        grid[i][j][part] = value
     return {"dims": [2, 2], "rho": grid}
 
 
@@ -188,9 +205,14 @@ def _no_constant(name):
 @given(_fuzzed_documents())
 @example(_edited_quarter_identity({(2, 3): -1e308, (3, 2): -1e308}))
 @example(_edited_quarter_identity({(0, 1): 1e308, (1, 0): -1e308}))
+# valid states whose partial trace (a) or entropy re-solve (b) fails a check
+@example(_edited_quarter_identity(dict.fromkeys([(0, 2), (2, 0), (1, 3), (3, 1)], 4.5e-10),
+                                  part=1))
+@example(_edited_quarter_identity({(0, 1): 0.25 + 0.3e-9, (1, 0): 0.25 + 1.2e-9}))
 def test_state_document_fuzz_keeps_the_exit_contract(doc):
     # warnings are errors in this suite, so a numpy warning that would
-    # reach stderr fails here too
+    # reach stderr fails here too; every failure is the item's own, in
+    # the report, and only a file that does not parse exits 3
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "s.json")
         Path(path).write_text(json.dumps(doc))
@@ -199,7 +221,7 @@ def test_state_document_fuzz_keeps_the_exit_contract(doc):
             with redirect_stdout(out), redirect_stderr(err):
                 code = main([*cmd, path])
             assert code in (0, 1, 2, 3), (cmd, code)
-            if code != 3:
-                assert err.getvalue() == "", (cmd, err.getvalue())
-            if out.getvalue():
-                json.loads(out.getvalue(), parse_constant=_no_constant)
+            assert err.getvalue() == "", (cmd, err.getvalue())
+            report = json.loads(out.getvalue(), parse_constant=_no_constant)
+            error = report.get("error") or ""
+            assert (code == 3) == error.startswith("StateFormatError: "), (cmd, code, error)
