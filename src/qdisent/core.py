@@ -73,15 +73,20 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Return (largest entrywise distance from ``m`` to ``m^dag``, ``(m + m^dag)/2``).
+def _hermiticity_defect(m: np.ndarray, mh: np.ndarray) -> float:
+    """Largest entrywise distance from ``m`` to its conjugate transpose ``mh``.
 
     An empty ``m`` has no such distance and raises DimensionMismatch.
     """
     if not m.size:
         raise DimensionMismatch(f"matrix must be non-empty, got shape {m.shape}")
+    return float(np.abs(m - mh).max())
+
+
+def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Return (``_hermiticity_defect`` of ``m``, ``(m + m^dag)/2``)."""
     mh = m.conj().T
-    return float(np.abs(m - mh).max()), (m + mh) / 2.0
+    return _hermiticity_defect(m, mh), (m + mh) / 2.0
 
 
 def _guard(passed: bool, exc: type[QDisentError], what: str, value: float,
@@ -108,7 +113,7 @@ def _require_hermitian(arr: np.ndarray, tol: float,
     nan, so numpy's overflow and invalid-value warnings are noise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect, _ = _hermitize(arr)
+        defect = _hermiticity_defect(arr, arr.conj().T)
     _guard(defect <= tol, NotHermitian, what, defect, "exceeds tol", tol)
 
 
@@ -252,13 +257,36 @@ def product_state(rho_a, rho_b, tol: float = DEFAULT_TOL) -> BipartiteState:
     return BipartiteState(tensor_product(a, b), (a.shape[0], b.shape[0]), tol=tol)
 
 
-def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str) -> np.ndarray:
-    r = m.reshape(n_a, n_b, n_a, n_b)
-    if over == "B":
-        return np.einsum("abcb->ac", r)
-    if over == "A":
-        return np.einsum("abad->bd", r)
-    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
+def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str,
+            weight: np.ndarray | None = None) -> np.ndarray:
+    """Trace ``m`` over one subsystem, optionally weighted by a partner factor.
+
+    With ``weight`` this is the trace of ``m @ (I x weight)`` over B, or
+    of ``m @ (weight x I)`` over A.  The weighted trace never forms that
+    lift: one matmul of ``m``'s entries, laid out by the contracted
+    index, against the weight does the lifted n^3 product's useful work.
+    OpenBLAS's zgemm rounds an output column differently when it falls
+    outside a full group of 4 columns, so the weight is zero-padded to a
+    multiple of 4 columns, and a joint dimension that is not a multiple
+    of 4, whose lifted product has a partial group, keeps that product.
+    """
+    if over not in ("A", "B"):
+        raise ValueError(f"over must be 'A' or 'B', got {over!r}")
+    if weight is None:
+        r = m.reshape(n_a, n_b, n_a, n_b)
+    elif (n_a * n_b) % 4:
+        r = (m @ embed_local(weight, over, (n_a, n_b))).reshape(n_a, n_b, n_a, n_b)
+    else:
+        k = weight.shape[0]
+        padded = np.zeros((k, -(-k // 4) * 4), dtype=complex)
+        padded[:, :k] = weight
+        if over == "B":
+            r = (m.reshape(-1, k) @ padded).reshape(n_a, n_b, n_a, -1)[..., :k]
+        else:
+            cols = m.reshape(n_a, n_b, n_a, n_b).transpose(0, 1, 3, 2).copy()
+            r = (cols.reshape(-1, k) @ padded).reshape(n_a, n_b, n_b, -1)
+            r = r[..., :k].transpose(0, 1, 3, 2)
+    return np.einsum("abcb->ac", r) if over == "B" else np.einsum("abad->bd", r)
 
 
 def partial_trace(state: BipartiteState, over: str = "B") -> np.ndarray:

@@ -30,7 +30,6 @@ from .core import (
     _ptrace,
     partial_trace,
     product_state,
-    tensor_product,
     validate_density,
 )
 from .criteria import _state_entropy
@@ -49,11 +48,6 @@ def _power(m: np.ndarray, k: int) -> np.ndarray:
     return m if k == 1 else np.linalg.matrix_power(m, k)
 
 
-def _identities(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The identity on each subsystem, made once per call for its half-steps."""
-    return np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex)
-
-
 def _check_power(m) -> int:
     k = int(m)
     if k < 1:
@@ -62,22 +56,17 @@ def _check_power(m) -> int:
 
 
 def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
-                        partner_pow: np.ndarray, side: str, tol: float,
-                        eyes: tuple[np.ndarray, np.ndarray]):
+                        partner_pow: np.ndarray, side: str, tol: float):
     """One half-step: trace against the powered partner, renormalize.
 
-    ``eyes`` is ``_identities(dims)``; the caller checked every shape,
-    so the partner is lifted to the joint space directly.  Returns
+    The caller checked every shape.  Returns
     (factor, hermiticity_defect, min_eigenvalue).  The raw quotient is
     hermitized as (M + M^dag)/2; eigenvalues in (-tol, 0) are clamped
     to zero at normalization, anything lower raises NotPSDResult
     instead of silently projecting.
     """
-    if side == "A":
-        other, big = "B", tensor_product(eyes[0], partner_pow)
-    else:
-        other, big = "A", tensor_product(partner_pow, eyes[1])
-    num = _ptrace(rho @ big, dims[0], dims[1], over=other)
+    other = "B" if side == "A" else "A"
+    num = _ptrace(rho, dims[0], dims[1], other, weight=partner_pow)
     den = float(num.trace().real)
     _guard(den > tol, ZeroDenominator, "weighted trace", den, "is not above tol", tol)
     defect, m = _hermitize(num / den)
@@ -114,7 +103,7 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
     partner_dim = state.n_b if side == "A" else state.n_a
     sigma = _check_local(validate_density(pointer, tol), partner_dim, "pointer")
     factor, _, _ = _weighted_reduction(state.rho, state.dims, _power(sigma, k),
-                                       side, tol, _identities(state.dims))
+                                       side, tol)
     return factor
 
 
@@ -196,7 +185,6 @@ def fixed_point_solve(state: BipartiteState,
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     k = int(cfg.m_power)
     d = float(cfg.damping)
-    eyes = _identities(state.dims)
 
     records: list[IterationRecord] = []
     best = None
@@ -204,7 +192,7 @@ def fixed_point_solve(state: BipartiteState,
     # F_A at the current rho_b, carried across sweeps so the residual
     # evaluation doubles as the next raw update
     raw_a, defect_a, min_a = _weighted_reduction(
-        state.rho, state.dims, _power(rho_b, k), "A", guard, eyes)
+        state.rho, state.dims, _power(rho_b, k), "A", guard)
 
     for it in range(1, int(cfg.max_iter) + 1):
         new_a = raw_a if d == 0.0 else (1.0 - d) * raw_a + d * rho_a
@@ -212,14 +200,14 @@ def fixed_point_solve(state: BipartiteState,
         rho_a = new_a
 
         raw_b, defect_b, min_b = _weighted_reduction(
-            state.rho, state.dims, _power(rho_a, k), "B", guard, eyes)
+            state.rho, state.dims, _power(rho_a, k), "B", guard)
         new_b = raw_b if d == 0.0 else (1.0 - d) * raw_b + d * rho_b
         step_b = _frobenius(new_b - rho_b)
         res_b = _frobenius(new_b - raw_b)
         rho_b = new_b
 
         raw_a, next_defect_a, next_min_a = _weighted_reduction(
-            state.rho, state.dims, _power(rho_b, k), "A", guard, eyes)
+            state.rho, state.dims, _power(rho_b, k), "A", guard)
         res_a = _frobenius(rho_a - raw_a)
 
         records.append(IterationRecord(step_a, step_b, res_a, res_b,
@@ -249,12 +237,11 @@ def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
     k = _check_power(m)
     a = _check_local(np.asarray(rho_a, dtype=complex), state.n_a, "rho_a")
     b = _check_local(np.asarray(rho_b, dtype=complex), state.n_b, "rho_b")
-    eyes = _identities(state.dims)
     # a candidate near the double limit overflows the weighting; the
     # guards or an inf distance report it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol, eyes)
-        fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol, eyes)
+        fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol)
+        fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol)
         return _frobenius(a - fa), _frobenius(b - fb)
 
 

@@ -52,10 +52,13 @@ def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
     """
     r = _as_two_qubit(rho)
     _check_pointer(p, b, tol)
-    num = terms(r)
     q, bc = 1.0 - p, np.conj(b)
-    den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
-                 + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
+    # entries near the double limit overflow to inf and nan here; _guard
+    # then reports the weight, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = terms(r)
+        den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
+                     + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
     _guard(den > tol, ZeroDenominator, "normalization", den, "is not above tol", tol)
     return num / den
 

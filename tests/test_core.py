@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdisent
@@ -15,6 +15,7 @@ from qdisent.core import (
     TraceNotOne,
     _frobenius,
     _hermitize,
+    _ptrace,
     density_defects,
     embed_local,
     hermitian_eigenvalues,
@@ -101,6 +102,64 @@ def test_hermitize_is_bit_identical_to_the_two_sided_formula(n, seed):
     want = np.abs(m - m.conj().T).max()
     assert np.float64(defect).view(np.uint64) == want.view(np.uint64)
     assert _same_bits(sym, (m + m.conj().T) / 2)
+
+
+# joint states rich in exact zeros, whose products with a zero-padded
+# weight must keep the lifted product's bits, signed zeros included
+JOINT_KINDS = ("maximally mixed", "diagonal", "real", "negative zero imaginary",
+               "pure", "random")
+WEIGHT_KINDS = ("maximally mixed", "projector", "random")
+PTRACE_SIDES = st.sampled_from((2, 3, 4, 5, 8))
+
+
+def _joint_state(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "maximally mixed":
+        return np.eye(n, dtype=complex) / n
+    if kind == "diagonal":
+        d = rng.random(n)
+        return np.diag(d / d.sum()).astype(complex)
+    if kind in ("real", "negative zero imaginary"):
+        g = rng.standard_normal((n, n))
+        m = (g @ g.T / np.trace(g @ g.T)).astype(complex)
+        if kind == "negative zero imaginary":
+            m.imag = -0.0
+        return m
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "pure":
+        return np.outer(v, v.conj()) / np.vdot(v, v).real
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = g @ g.conj().T
+    return h / np.trace(h).real
+
+
+def _weight(k, seed, kind):
+    if kind == "projector":
+        return np.diag((np.arange(k) == seed % k).astype(complex))
+    return _joint_state(k, seed, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PTRACE_SIDES, PTRACE_SIDES, st.integers(0, 2**32 - 1), st.sampled_from(JOINT_KINDS),
+       st.sampled_from(WEIGHT_KINDS), st.sampled_from("AB"), st.integers(1, 3))
+@example(2, 2, 0, "maximally mixed", "maximally mixed", "B", 1)
+@example(2, 2, 1, "random", "random", "A", 2)
+@example(8, 8, 2, "negative zero imaginary", "projector", "A", 3)
+@example(4, 4, 3, "pure", "random", "B", 3)
+@example(3, 2, 4, "random", "random", "B", 1)
+@example(5, 3, 6, "pure", "random", "A", 2)
+@example(2, 3, 5, "real", "projector", "A", 2)
+def test_weighted_ptrace_is_bit_identical_to_the_lifted_product(n_a, n_b, seed, kind,
+                                                                weight_kind, over, power):
+    # joint dimensions that are multiples of 4 take the block contraction,
+    # the others the lifted product itself; both must give its bytes
+    m = _joint_state(n_a * n_b, seed, kind)
+    k, rest = (n_b, n_a) if over == "B" else (n_a, n_b)
+    w = np.linalg.matrix_power(_weight(k, seed + 1, weight_kind), power)
+    eye = np.eye(rest, dtype=complex)
+    lift = np.kron(eye, w) if over == "B" else np.kron(w, eye)
+    got = _ptrace(m, n_a, n_b, over, weight=w)
+    assert _same_bits(got, _ptrace(m @ lift, n_a, n_b, over))
 
 
 def test_all_names_resolve_once():

@@ -19,7 +19,6 @@ from qdisent.correlated import (
     NonConvergence,
     PointerMethod,
     SolverConfig,
-    _identities,
     _weighted_reduction,
     correlated_local_state,
     disentanglement_report,
@@ -119,8 +118,7 @@ def test_tolerance_checks_fail_closed_on_nan():
     rho[0, 2] = rho[2, 0] = rho[1, 3] = rho[3, 1] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), _raises_exactly(
             NotPSDResult, "weighted reduction has eigenvalue nan is not finite"):
-        _weighted_reduction(rho, (2, 2), np.eye(2, dtype=complex), "A", 1e-9,
-                            _identities((2, 2)))
+        _weighted_reduction(rho, (2, 2), np.eye(2, dtype=complex), "A", 1e-9)
     # a state that skipped validation, with a nan on its diagonal
     raw = SimpleNamespace(rho=np.diag([nan, 0.5, 0.25, 0.25]).astype(complex),
                           n_a=2, n_b=2)

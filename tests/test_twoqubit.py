@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ def test_zero_denominator_guard():
     for table in (diagonal_pointer_local, coherent_pointer_local):
         with pytest.raises(ZeroDenominator, match="^normalization nan is not finite$"):
             table(rho, 0.5)
+    # mirrored coherences at the double limit overflow the weight's sums;
+    # the guard names the non-finite weight and numpy raises no warning
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = rho[1, 0] = rho[2, 3] = rho[3, 2] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDenominator, match="^normalization nan is not finite$"):
+            diagonal_pointer_local(rho, 0.3)
+        with pytest.raises(ZeroDenominator, match="^normalization inf is not finite$"):
+            coherent_pointer_local(rho, 0.3, 0.1)
 
 
 def test_transcription_bench_rows():
