@@ -44,6 +44,7 @@ from .criteria import separability_verdict
 from .reductions import neumann_reduce
 from .states import GenSpec, generate
 from .stateio import (
+    Rendered,
     StateFormatError,
     doc_to_matrix,
     dumps_canonical,
@@ -51,6 +52,7 @@ from .stateio import (
     format_real,
     load_document,
     save_state,
+    write_canonical,
 )
 from .twoqubit import BENCH_GATE, transcription_bench
 
@@ -146,6 +148,8 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
 
     ``item_fn(path, item)`` fills the item and returns its exit code; an
     ``_ITEM_ERRORS`` error it raises becomes the item's error instead.
+    A batch item is rendered as soon as it is filled, which drops its
+    arrays; a render error is no item's and leaves before any output.
     """
     paths, batch = _expand(path)
     items = []
@@ -157,13 +161,12 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
         except _ITEM_ERRORS as exc:
             item["error"] = f"{type(exc).__name__}: {exc}"
             code = EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
-        items.append(item)
+        items.append(Rendered(dumps_canonical(item)) if batch else item)
         worst = max(worst, code)
     if batch:
-        doc = {"command": echo, "items": items}
+        write_canonical({"command": echo, "items": items}, sys.stdout)
     else:
-        doc = {"command": echo, **items[0]}
-    sys.stdout.write(dumps_canonical(doc))
+        sys.stdout.write(dumps_canonical({"command": echo, **items[0]}))
     return worst
 
 

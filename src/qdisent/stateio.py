@@ -108,8 +108,31 @@ def _render_hermitian(c: np.ndarray, out: list) -> None:
         pieces[start:stop] = done
 
 
+class Rendered:
+    """A document's canonical text, rendered ahead of the document that embeds it.
+
+    ``text`` is what ``dumps_canonical`` gave for the document.  Nested
+    at pad ``p``, the same document's text is ``text`` without its
+    trailing newline and with ``p`` inserted after every other newline:
+    canonical text breaks lines only between structural elements, and
+    ``json.dumps`` escapes a newline inside a string.  The padded copy
+    is made only when the piece is joined or written.
+    """
+
+    __slots__ = ("text", "pad")
+
+    def __init__(self, text: str, pad: str = ""):
+        self.text, self.pad = text, pad
+
+    def __str__(self) -> str:
+        return self.text[:-1].replace("\n", "\n" + self.pad)
+
+
 def _render(value, pad: str, out: list) -> None:
-    """Append the canonical text of ``value`` to ``out``, nested lines at ``pad``."""
+    """Append the canonical pieces of ``value`` to ``out``, nested lines at ``pad``.
+
+    A piece is a str, or a ``Rendered`` whose ``str`` is its text.
+    """
     if isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, dict):
@@ -125,13 +148,15 @@ def _render(value, pad: str, out: list) -> None:
             _render(val, inner, out)
             opener = ",\n" + inner
         out.append("\n" + pad + "}")
+    elif isinstance(value, Rendered):
+        out.append(Rendered(value.text, pad))
     elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "c":
         _render_matrix(value, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        if any(isinstance(v, dict) for v in value):
+        if any(isinstance(v, (dict, Rendered)) for v in value):
             inner = pad + "  "
             opener, closer, sep = "[\n" + inner, "\n" + pad + "]", ",\n" + inner
         else:
@@ -153,19 +178,35 @@ def _render(value, pad: str, out: list) -> None:
         raise StateFormatError(f"cannot serialize {type(value).__name__} values")
 
 
-def dumps_canonical(doc: dict) -> str:
-    """Render a document to its canonical text, trailing newline included.
+def _pieces(doc: dict) -> list:
+    """Every canonical piece of a document, trailing newline included.
 
     A 2-D complex ndarray renders as its grid of ``[re, im]`` cells; of
     a hermitian one only the upper triangle is formatted, to the same
-    bytes.  Every piece goes to one list, joined once at the end.
+    bytes.  A ``Rendered`` value embeds its text at its depth.
     """
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
     out: list = []
     _render(doc, "", out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps_canonical(doc: dict) -> str:
+    """Render a document to its canonical text, trailing newline included."""
+    return "".join(map(str, _pieces(doc)))
+
+
+def write_canonical(doc: dict, stream) -> None:
+    """Write a document's canonical text to ``stream`` piece by piece, never joined.
+
+    Every piece is rendered before the first is written, so a value
+    with no canonical text raises with nothing written.  Embedded
+    ``Rendered`` texts are written one at a time, each padded as it goes.
+    """
+    for piece in _pieces(doc):
+        stream.write(str(piece))
 
 
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:

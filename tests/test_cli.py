@@ -16,7 +16,8 @@ import pytest
 from qdisent import file_digest
 from qdisent.cli import build_parser, main
 from qdisent.correlated import disentanglement_report
-from qdisent.stateio import dumps_canonical
+from qdisent.stateio import dumps_canonical, save_state
+from qdisent.states import random_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -562,18 +563,92 @@ def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
 
 def test_unrenderable_report_exits_3(tmp_path, monkeypatch, capsys):
     # no state reaches a NaN factor; a report that holds one anyway fails
-    # the canonical render, which no item owns
+    # the canonical render, which no item owns: alone, or as the second
+    # item of a batch whose first item rendered, nothing reaches stdout
     write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_doc(batch / "a.json", [0.25, 0.25, 0.25, 0.25])
+    write_doc(batch / "b.json", [0.5, 0.5, 0.0, 0.0])
+    calls = []
+    nan_call = 1  # the disentanglement_report call whose factor_a gets the nan
 
     def with_nan(*args, **kwargs):
         reps = disentanglement_report(*args, **kwargs)
+        calls.append(reps)
+        if len(calls) != nan_call:
+            return reps
         factor = reps[0].factor_a.copy()
         factor[1, 0] = complex(0.5, np.nan)
         return [dataclasses.replace(reps[0], factor_a=factor)]
 
     monkeypatch.setattr("qdisent.cli.disentanglement_report", with_nan)
-    assert run(capsys, "disentangle", str(tmp_path / "s.json")) == (
-        3, "", "error: StateFormatError: non-finite value nan cannot be serialized\n")
+    error = "error: StateFormatError: non-finite value nan cannot be serialized\n"
+    assert run(capsys, "disentangle", str(tmp_path / "s.json")) == (3, "", error)
+    calls.clear()
+    nan_call = 2
+    assert run(capsys, "disentangle", str(batch)) == (3, "", error)
+    assert len(calls) == 2
+
+
+BATCH_COMMANDS = {
+    "validate": ("validate",),
+    "analyze": ("analyze",),
+    "correlated": ("disentangle", "--method", "correlated"),
+    "neumann": ("disentangle", "--method", "neumann"),
+    "pointer": ("disentangle", "--method", "pointer"),
+}
+
+
+@pytest.mark.parametrize("cmd", BATCH_COMMANDS.values(), ids=BATCH_COMMANDS.keys())
+def test_batch_report_nests_the_single_file_reports(tmp_path, monkeypatch, capsys, cmd):
+    # the batch report is the canonical render of its items, each the
+    # single-file report of the same path without its command: a 16x16
+    # product (rendered from its upper triangle), a 3x2 state, an exit-1
+    # and an exit-3 item, and an input path that needs JSON escapes
+    monkeypatch.chdir(tmp_path)
+    batch = Path("batch")
+    batch.mkdir()
+    save_state(batch / "3x2.json", random_state((3, 2), seed=2))
+    save_state(batch / "4x4.json", random_state((4, 4), seed=3))
+    (batch / "bad.json").write_text("{")
+    write_doc(batch / "notpsd.json", [1.5, -0.5, 0.0, 0.0])
+    write_doc(batch / 'q"\u00e9.json', [0.5, 0.0, 0.0, 0.5], corner=0.25)
+    worst, items = 0, []
+    for name in sorted(os.listdir(batch)):
+        code, report, err = run_json(capsys, *cmd, str(batch / name))
+        assert err == ""
+        del report["command"]
+        worst = max(worst, code)
+        items.append(report)
+    failed = {item["input"] for item in items if item.get("error")}
+    assert {"batch/bad.json", "batch/notpsd.json"} <= failed
+    if cmd[-1] in ("correlated", "neumann"):  # pointer needs n_b = 2
+        product = as_matrix(items[1]["product"])
+        assert product.shape == (16, 16)
+        assert np.array_equal(product, product.conj().T)
+    code, out, err = run(capsys, *cmd, str(batch))
+    command = json.loads(out)["command"]
+    assert command.endswith(" batch")
+    assert (code, out, err) == (
+        worst, dumps_canonical({"command": command, "items": items}), "")
+
+
+def test_batch_report_is_written_one_item_at_a_time(tmp_path, monkeypatch):
+    for name, diag in (("a", [0.25] * 4), ("b", [0.5, 0.5, 0.0, 0.0]),
+                       ("c", [0.5, 0.0, 0.0, 0.5])):
+        write_doc(tmp_path / f"{name}.json", diag)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["disentangle", str(tmp_path)]) == 0
+    assert len(json.loads("".join(writes))["items"]) == 3
+    assert max(text.count('"input": ') for text in writes) == 1
 
 
 @pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])

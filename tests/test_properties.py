@@ -112,6 +112,20 @@ def test_correlated_pair_changes_isotropic_entropy_least(pure, p):
     assert corr.entropy_change <= neumann.entropy_change + 1e-12
 
 
+def test_correlated_pair_can_change_isotropic_entropy_more_in_magnitude():
+    # the property above is the signed reading of the claim: the
+    # correlated product is no more mixed than the von Neumann one.  Read
+    # as the smallest |change|, it fails inside the same family
+    psi, p = random_ket(4, 5), 0.7
+    rho = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4
+    state = BipartiteState((rho + rho.conj().T) / 2, (2, 2))
+    corr, neumann = disentanglement_report(state, [CorrelatedMethod(), NeumannMethod()])
+    assert corr.entropy_change == pytest.approx(-0.14267302036715002, abs=1e-12)
+    assert neumann.entropy_change == pytest.approx(0.08441745844050541, abs=1e-12)
+    assert corr.entropy_change < 0.0 < neumann.entropy_change
+    assert abs(corr.entropy_change) > abs(neumann.entropy_change)
+
+
 # Every numeric flag, each after the arguments that make it matter.  The
 # bench2q base keeps --cases small; no listed value can reach an integer
 # flag as a large count, because argparse refuses 1e308 for an int.

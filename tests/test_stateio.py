@@ -22,7 +22,13 @@ from qdisent import (
     save_state,
     state_to_doc,
 )
-from qdisent.stateio import _MIRROR_MIN_N, _screen_grid, _walk_grid
+from qdisent.stateio import (
+    _MIRROR_MIN_N,
+    Rendered,
+    _screen_grid,
+    _walk_grid,
+    write_canonical,
+)
 
 
 def _load(path):
@@ -135,6 +141,38 @@ def test_dumps_canonical_list_of_dicts_is_multiline():
     assert '"items": [\n' in text
     assert text.count('"i":') == 2
     assert json.loads(text) == {"items": [{"i": 1}, {"i": 2}]}
+
+
+def test_rendered_text_nests_at_any_depth():
+    # the text of a document nested at pad p is its top-level text with
+    # p after every newline; a newline inside a string stays escaped
+    inner = {"s": "two\nlines", "rho": np.eye(2, dtype=complex),
+             "sub": {"items": [{"i": 1}, {}], "e": []}}
+    doc = {"command": "c", "items": [inner, {"j": None}],
+           "deep": {"x": [inner]}}
+    nested = {"command": "c",
+              "items": [Rendered(dumps_canonical(inner)), {"j": None}],
+              "deep": {"x": [Rendered(dumps_canonical(inner))]}}
+    assert dumps_canonical(nested) == dumps_canonical(doc)
+
+
+class _Writes(list):
+    """A stream that keeps each write."""
+
+    write = list.append
+
+
+def test_write_canonical_writes_the_text_or_nothing():
+    doc = {"items": [Rendered(dumps_canonical({"i": i})) for i in range(3)]}
+    writes = _Writes()
+    write_canonical(doc, writes)
+    assert "".join(writes) == dumps_canonical(doc)
+    assert [t.count('"i": ') for t in writes].count(1) == 3
+    writes.clear()
+    doc["items"].append({"v": np.nan})
+    with pytest.raises(StateFormatError, match="non-finite value nan"):
+        write_canonical(doc, writes)
+    assert writes == []
 
 
 def test_dumps_canonical_escapes_strings():
