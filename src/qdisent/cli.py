@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import math
 import os
 import sys
@@ -150,24 +151,35 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
     ``_ITEM_ERRORS`` error it raises becomes the item's error instead.
     A batch item is rendered as soon as it is filled, which drops its
     arrays; a render error is no item's and leaves before any output.
+
+    The cyclic collector is paused throughout: a parsed state file is a
+    tree of thousands of lists that cannot hold a cycle, yet building
+    it would set off collections that walk it.  The caller's collector
+    state is restored on any exit.
     """
-    paths, batch = _expand(path)
-    items = []
-    worst = EXIT_OK
-    for item_path in paths:
-        item: dict = {"input": item_path}
-        try:
-            code = item_fn(item_path, item)
-        except _ITEM_ERRORS as exc:
-            item["error"] = f"{type(exc).__name__}: {exc}"
-            code = EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
-        items.append(Rendered(dumps_canonical(item)) if batch else item)
-        worst = max(worst, code)
-    if batch:
-        write_canonical({"command": echo, "items": items}, sys.stdout)
-    else:
-        sys.stdout.write(dumps_canonical({"command": echo, **items[0]}))
-    return worst
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        paths, batch = _expand(path)
+        items = []
+        worst = EXIT_OK
+        for item_path in paths:
+            item: dict = {"input": item_path}
+            try:
+                code = item_fn(item_path, item)
+            except _ITEM_ERRORS as exc:
+                item["error"] = f"{type(exc).__name__}: {exc}"
+                code = EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
+            items.append(Rendered(dumps_canonical(item)) if batch else item)
+            worst = max(worst, code)
+        if batch:
+            write_canonical({"command": echo, "items": items}, sys.stdout)
+        else:
+            sys.stdout.write(dumps_canonical({"command": echo, **items[0]}))
+        return worst
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------- validate

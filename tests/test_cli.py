@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -561,17 +562,12 @@ def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
     assert doc["error"] == "LinAlgError: Eigenvalues did not converge"
 
 
-def test_unrenderable_report_exits_3(tmp_path, monkeypatch, capsys):
-    # no state reaches a NaN factor; a report that holds one anyway fails
-    # the canonical render, which no item owns: alone, or as the second
-    # item of a batch whose first item rendered, nothing reaches stdout
-    write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
-    batch = tmp_path / "batch"
-    batch.mkdir()
-    write_doc(batch / "a.json", [0.25, 0.25, 0.25, 0.25])
-    write_doc(batch / "b.json", [0.5, 0.5, 0.0, 0.0])
+def _plant_nan_factor(monkeypatch, nan_call):
+    """Give a nan to factor_a of the ``nan_call``-th disentanglement_report call.
+
+    Returns the list of calls made so far.
+    """
     calls = []
-    nan_call = 1  # the disentanglement_report call whose factor_a gets the nan
 
     def with_nan(*args, **kwargs):
         reps = disentanglement_report(*args, **kwargs)
@@ -583,10 +579,27 @@ def test_unrenderable_report_exits_3(tmp_path, monkeypatch, capsys):
         return [dataclasses.replace(reps[0], factor_a=factor)]
 
     monkeypatch.setattr("qdisent.cli.disentanglement_report", with_nan)
+    return calls
+
+
+def _unrenderable_batch(tmp_path, monkeypatch):
+    """(batch directory, calls): two files, only the second item's report holds a nan."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_doc(batch / "a.json", [0.25, 0.25, 0.25, 0.25])
+    write_doc(batch / "b.json", [0.5, 0.5, 0.0, 0.0])
+    return batch, _plant_nan_factor(monkeypatch, 2)
+
+
+def test_unrenderable_report_exits_3(tmp_path, monkeypatch, capsys):
+    # no state reaches a NaN factor; a report that holds one anyway fails
+    # the canonical render, which no item owns: alone, or as the second
+    # item of a batch whose first item rendered, nothing reaches stdout
+    write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
+    _plant_nan_factor(monkeypatch, 1)
     error = "error: StateFormatError: non-finite value nan cannot be serialized\n"
     assert run(capsys, "disentangle", str(tmp_path / "s.json")) == (3, "", error)
-    calls.clear()
-    nan_call = 2
+    batch, calls = _unrenderable_batch(tmp_path, monkeypatch)
     assert run(capsys, "disentangle", str(batch)) == (3, "", error)
     assert len(calls) == 2
 
@@ -852,6 +865,95 @@ def test_library_error_after_load_is_an_invalid_item(tmp_path, monkeypatch, caps
         worst = max(worst, code)
     assert run(capsys, *argv, "d") == (
         worst, dumps_canonical({"command": f"{echo} d", "items": items}), "")
+
+
+# ----------------------------------------------------------------- collector
+
+
+@pytest.fixture
+def default_gc_thresholds():
+    saved = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    yield
+    gc.set_threshold(*saved)
+
+
+def test_no_collection_starts_while_an_item_runs(tmp_path, capsys, default_gc_thresholds):
+    # json.loads of a 200 KB 8x8 state file builds about 4,160 lists,
+    # which would set off young collections; none can find a cycle in a
+    # parse tree, so items run with the collector paused
+    path = str(tmp_path / "s.json")
+    save_state(path, random_state((8, 8), seed=4))
+    assert run(capsys, "validate", path)[0] == 0  # the parser is built
+    assert gc.isenabled()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        code = main(["validate", path])
+    finally:
+        gc.callbacks.remove(hook)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert starts == []
+
+
+def _one_valid_file(tmp_path, monkeypatch):
+    write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
+    return ["validate", str(tmp_path / "s.json")], 0
+
+
+def _exit_1_and_exit_3_items(tmp_path, monkeypatch):
+    write_doc(tmp_path / "notpsd.json", [1.5, -0.5, 0.0, 0.0])
+    (tmp_path / "bad.json").write_text("{")
+    return ["analyze", str(tmp_path)], 3
+
+
+def _unrenderable(tmp_path, monkeypatch):
+    batch, _ = _unrenderable_batch(tmp_path, monkeypatch)
+    return ["disentangle", str(batch)], 3
+
+
+def _usage_error(tmp_path, monkeypatch):
+    return ["disentangle", "--m", "0", str(tmp_path / "s.json")], 3
+
+
+COLLECTOR_CASES = [_one_valid_file, _exit_1_and_exit_3_items, _unrenderable, _usage_error]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", COLLECTOR_CASES,
+                         ids=[case.__name__.strip("_") for case in COLLECTOR_CASES])
+def test_main_leaves_the_collector_as_its_caller_had_it(tmp_path, monkeypatch, capsys,
+                                                        case, enabled):
+    argv, expected = case(tmp_path, monkeypatch)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == expected
+    assert after is enabled
+
+
+@pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])
+def test_a_batch_leaves_no_cycles(tmp_path, capsys, cmd):
+    # the pause costs no memory: a batch, error items included, leaves
+    # nothing for the collector to reclaim
+    save_state(tmp_path / "4x4.json", random_state((4, 4), seed=3))
+    write_doc(tmp_path / "notpsd.json", [1.5, -0.5, 0.0, 0.0])
+    (tmp_path / "bad.json").write_text("{")
+    assert run(capsys, cmd, str(tmp_path))[0] == 3  # warm-up
+    gc.collect()
+    assert run(capsys, cmd, str(tmp_path))[0] == 3
+    assert gc.collect() == 0
+
 
 def test_subprocess_entry_point(tmp_path):
     proc = run_subprocess(tmp_path, "generate", "bell", "--out", "bell.json")
