@@ -44,7 +44,6 @@ from .states import (
     random_state,
     random_unitary,
     separable_mixture,
-    thermal_pointer,
 )
 from .criteria import (
     CorrelationGap,

@@ -137,13 +137,6 @@ def _check_pointer(p: float, b: complex, tol: float) -> None:
         raise InvalidPointer(f"|b|^2 = {b2:.3e} exceeds p(1-p) = {p * (1.0 - p):.3e}")
 
 
-def thermal_pointer(p: float) -> np.ndarray:
-    """Diagonal qubit pointer diag(p, 1 - p)."""
-    p = float(p)
-    _check_pointer(p, 0j, 0.0)
-    return np.array([[p, 0.0], [0.0, 1.0 - p]], dtype=complex)
-
-
 def coherent_pointer(p: float, b: complex = 0j, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Qubit pointer [[p, b], [b*, 1 - p]] with off-diagonal coherence b.
 

@@ -5,6 +5,9 @@ for dims (2, 2) instead of going through the generic einsum machinery,
 so the two routes can be checked against each other.  Flat indexing
 follows the joint basis order: 0 = (0, 0), 1 = (0, 1), 2 = (1, 0),
 3 = (1, 1), with index 0 on each side being the upper pointer level.
+There is one table per form: the diagonal pointer diag(p, 1-p) is the
+coherent pointer at b = 0, so the diagonal forms evaluate the coherent
+tables there, and the literal diagonal variant substitutes one entry.
 
 ``transcription_bench`` draws random states and pointers and reports
 the worst entrywise deviation between these tables and the composed
@@ -27,7 +30,7 @@ from .core import (
 )
 from .correlated import correlated_local_state
 from .reductions import averaged_projective_state
-from .states import _check_pointer, coherent_pointer, random_state, thermal_pointer
+from .states import _check_pointer, coherent_pointer, random_state
 
 BENCH_GATE = 1e-12
 
@@ -61,29 +64,6 @@ def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
                      + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
     _guard(den > tol, ZeroDenominator, "normalization", den, "is not above tol", tol)
     return num / den
-
-
-def _diagonal_local_terms(r: np.ndarray, p: float):
-    q = 1.0 - p
-    return np.array([
-        [p * r[0, 0] + q * r[1, 1], p * r[0, 2] + q * r[1, 3]],
-        [p * r[2, 0] + q * r[3, 1], p * r[2, 2] + q * r[3, 3]],
-    ])
-
-
-def _diagonal_product_terms(r: np.ndarray, p: float, literal: bool):
-    q = 1.0 - p
-    pq = p * q
-    n = np.zeros((4, 4), dtype=complex)
-    n[0, 0] = p * p * r[0, 0] + pq * r[1, 1]
-    n[1, 1] = pq * r[0, 0] + q * q * r[1, 1]
-    n[0, 2] = p * p * r[0, 2] + pq * r[1, 3]
-    n[1, 3] = pq * r[0, 2] + q * q * r[1, 3]
-    n[2, 0] = p * p * r[2, 0] + pq * r[3, 1]
-    n[3, 1] = pq * r[2, 0] + q * q * (r[1, 1] if literal else r[3, 1])
-    n[2, 2] = p * p * r[2, 2] + pq * r[3, 3]
-    n[3, 3] = pq * r[2, 2] + q * q * r[3, 3]
-    return n
 
 
 def _coherent_local_terms(r: np.ndarray, p: float, b: complex):
@@ -128,22 +108,30 @@ def _coherent_product_terms(r: np.ndarray, p: float, b: complex, literal: bool):
 def diagonal_pointer_local(rho, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced A-factor against the pointer diag(p, 1-p), written out.
 
-    Equals ``correlated_local_state`` with the same pointer up to
-    floating-point noise; this version is the explicit 2x2 table.
+    This is the coherent table at ``b = 0``.  It equals
+    ``correlated_local_state`` with the same pointer up to
+    floating-point noise.
     """
-    return _normalized(rho, p, 0j, tol, lambda r: _diagonal_local_terms(r, p))
+    return coherent_pointer_local(rho, p, 0j, tol)
 
 
 def diagonal_pointer_product(rho, p: float, tol: float = DEFAULT_TOL,
                              literal: bool = False) -> np.ndarray:
     """Joint product form for the diag(p, 1-p) pointer, entry by entry.
 
-    With ``literal=True`` the last term of entry (3, 1) reads
-    ``rho[1, 1]`` instead of ``rho[3, 1]``.  That variant no longer
-    equals the local table tensored with the pointer; it is kept so the
-    bench can report how far off it lands.
+    This is the coherent table at ``b = 0``.  ``literal=True``
+    substitutes one entry: (3, 1) reads ``rho[1, 1]`` where the table
+    has ``rho[3, 1]``.  That variant no longer factors; it is kept so
+    the bench can report how far off it lands.
     """
-    return _normalized(rho, p, 0j, tol, lambda r: _diagonal_product_terms(r, p, literal))
+    def terms(r):
+        n = _coherent_product_terms(r, p, 0j, False)
+        if literal:
+            q = 1.0 - p
+            n[3, 1] = p * q * r[2, 0] + q * q * r[1, 1]
+        return n
+
+    return _normalized(rho, p, 0j, tol, terms)
 
 
 def coherent_pointer_local(rho, p: float, b: complex = 0j,
@@ -200,7 +188,7 @@ def transcription_bench(cases: int = 1000, seed: int = 0) -> list[BenchRow]:
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         b = frac * np.sqrt(p * (1.0 - p)) * np.exp(1j * phi)
 
-        sig_d = thermal_pointer(p)
+        sig_d = coherent_pointer(p)
         ref_local = averaged_projective_state(state, np.array([p, 1.0 - p]))
         track("diagonal local", diagonal_pointer_local(state.rho, p), ref_local)
         ref_prod = tensor_product(ref_local, sig_d)

@@ -1,4 +1,9 @@
 import inspect
+import io
+import re
+import warnings
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +173,19 @@ def test_all_names_resolve_once():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert len(qdisent.__all__) == len(set(qdisent.__all__))
     assert set(qdisent.__all__) == public
+
+
+def test_readme_quick_start_prints_what_its_comments_claim():
+    # the one python block of README.md, run with warnings as errors
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out):
+        warnings.simplefilter("error")
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[:2] == [
+        "PptResult(min_eigenvalue=-0.5, passed=False)", "True 1"]
 
 
 def test_partial_trace_splits_product_states():

@@ -16,7 +16,6 @@ from qdisent.states import (
     random_state,
     random_unitary,
     separable_mixture,
-    thermal_pointer,
 )
 
 
@@ -80,13 +79,6 @@ def test_random_unitary_is_unitary():
     for dim in (2, 3, 4):
         u = random_unitary(dim, seed=dim)
         assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-12
-
-
-def test_thermal_pointer_bounds():
-    assert np.array_equal(thermal_pointer(0.3), np.diag([0.3, 0.7]))
-    for bad in (-0.1, 1.1):
-        with pytest.raises(InvalidPointer):
-            thermal_pointer(bad)
 
 
 def test_coherent_pointer_positivity_bound():

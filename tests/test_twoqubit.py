@@ -6,7 +6,7 @@ import pytest
 from qdisent.core import DimensionMismatch, InvalidPointer, ZeroDenominator
 from qdisent.correlated import correlated_local_state
 from qdisent.reductions import averaged_projective_state, neumann_reduce
-from qdisent.states import coherent_pointer, random_state, thermal_pointer
+from qdisent.states import coherent_pointer, random_state
 from qdisent.twoqubit import (
     BENCH_GATE,
     coherent_pointer_local,
@@ -30,18 +30,21 @@ def test_diagonal_local_matches_generic_routes():
     for state, p, _ in _cases(50):
         table = diagonal_pointer_local(state.rho, p)
         avg = averaged_projective_state(state, np.array([p, 1 - p]))
-        gen = correlated_local_state(state, thermal_pointer(p))
+        gen = correlated_local_state(state, coherent_pointer(p))
         assert np.abs(table - avg).max() < 1e-13
         assert np.abs(table - gen).max() < 1e-13
+        # the diagonal form is the coherent table at b = 0, to the bit
+        assert np.array_equal(table, coherent_pointer_local(state.rho, p, 0j))
 
 
 def test_diagonal_product_matches_composition():
     for state, p, _ in _cases(50):
         table = diagonal_pointer_product(state.rho, p)
         ref = np.kron(averaged_projective_state(state, np.array([p, 1 - p])),
-                      thermal_pointer(p))
+                      coherent_pointer(p))
         assert np.abs(table - ref).max() < 1e-13
         assert abs(np.trace(table).real - 1.0) < 1e-12
+        assert np.array_equal(table, coherent_pointer_product(state.rho, p, 0j))
 
 
 def test_coherent_local_matches_generic_route():
@@ -64,6 +67,11 @@ def test_literal_variants_differ_only_at_the_known_entry():
         d = (diagonal_pointer_product(state.rho, p, literal=True)
              - diagonal_pointer_product(state.rho, p))
         nz = np.argwhere(np.abs(d) > 1e-14)
+        assert [tuple(ix) for ix in nz] == [(3, 1)]
+        # the literal diagonal variant is the b = 0 coherent table with
+        # one entry substituted
+        lit = diagonal_pointer_product(state.rho, p, literal=True)
+        nz = np.argwhere(lit != coherent_pointer_product(state.rho, p, 0j))
         assert [tuple(ix) for ix in nz] == [(3, 1)]
 
         c = (coherent_pointer_product(state.rho, p, b, literal=True)
