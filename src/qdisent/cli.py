@@ -21,6 +21,7 @@ import gc
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ from .criteria import separability_verdict
 from .reductions import neumann_reduce
 from .states import GenSpec, generate
 from .stateio import (
-    Rendered,
     StateFormatError,
     doc_to_matrix,
     dumps_canonical,
@@ -53,6 +53,7 @@ from .stateio import (
     format_real,
     load_document,
     save_state,
+    spool_canonical,
     write_canonical,
 )
 from .twoqubit import BENCH_GATE, transcription_bench
@@ -144,13 +145,25 @@ def _expand(path: str) -> tuple[list[str], bool]:
     return [path], False
 
 
+def _run_item(item_fn, path: str) -> tuple[dict, int]:
+    """``item_fn(path, item)``'s item and exit code; an ``_ITEM_ERRORS`` error is the item's."""
+    item: dict = {"input": path}
+    try:
+        code = item_fn(path, item)
+    except _ITEM_ERRORS as exc:
+        item["error"] = f"{type(exc).__name__}: {exc}"
+        code = EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
+    return item, code
+
+
 def _run_batch(echo: str, path: str, item_fn) -> int:
     """Run ``item_fn`` per file under ``path``; emit one report, return the worst code.
 
-    ``item_fn(path, item)`` fills the item and returns its exit code; an
-    ``_ITEM_ERRORS`` error it raises becomes the item's error instead.
     A batch item is rendered as soon as it is filled, which drops its
-    arrays; a render error is no item's and leaves before any output.
+    arrays, and its text goes to a spool, an unnamed temporary file, so
+    no two item texts are held at once.  A render error is no item's
+    and, like a spool that cannot be created or written, leaves before
+    any output.
 
     The cyclic collector is paused throughout: a parsed state file is a
     tree of thousands of lists that cannot hold a cycle, yet building
@@ -161,21 +174,22 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
     gc.disable()
     try:
         paths, batch = _expand(path)
-        items = []
-        worst = EXIT_OK
-        for item_path in paths:
-            item: dict = {"input": item_path}
-            try:
-                code = item_fn(item_path, item)
-            except _ITEM_ERRORS as exc:
-                item["error"] = f"{type(exc).__name__}: {exc}"
-                code = EXIT_FORMAT if isinstance(exc, StateFormatError) else EXIT_INVALID
-            items.append(Rendered(dumps_canonical(item)) if batch else item)
-            worst = max(worst, code)
-        if batch:
+        if not batch:
+            item, code = _run_item(item_fn, paths[0])
+            sys.stdout.write(dumps_canonical({"command": echo, **item}))
+            return code
+        try:
+            spool = tempfile.TemporaryFile()
+        except OSError as exc:
+            raise _CliError(f"cannot create the report spool: {exc}") from exc
+        with spool:
+            items = []
+            worst = EXIT_OK
+            for item_path in paths:
+                item, code = _run_item(item_fn, item_path)
+                items.append(spool_canonical(item, spool))
+                worst = max(worst, code)
             write_canonical({"command": echo, "items": items}, sys.stdout)
-        else:
-            sys.stdout.write(dumps_canonical({"command": echo, **items[0]}))
         return worst
     finally:
         if enabled:

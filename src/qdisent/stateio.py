@@ -111,21 +111,28 @@ def _render_hermitian(c: np.ndarray, out: list) -> None:
 class Rendered:
     """A document's canonical text, rendered ahead of the document that embeds it.
 
-    ``text`` is what ``dumps_canonical`` gave for the document.  Nested
-    at pad ``p``, the same document's text is ``text`` without its
-    trailing newline and with ``p`` inserted after every other newline:
-    canonical text breaks lines only between structural elements, and
-    ``json.dumps`` escapes a newline inside a string.  The padded copy
-    is made only when the piece is joined or written.
+    The text lives in a spool, a binary file open for reading and
+    writing, as the ``size`` bytes from offset ``start``;
+    ``spool_canonical`` puts it there.  Nested at pad ``p``, the same
+    document's text is the spooled text without its trailing newline
+    and with ``p`` inserted after every other newline: canonical text
+    breaks lines only between structural elements, and ``json.dumps``
+    escapes a newline inside a string.  The text is read back, and
+    padded, only when the piece is joined or written.
     """
 
-    __slots__ = ("text", "pad")
+    __slots__ = ("spool", "start", "size", "pad")
 
-    def __init__(self, text: str, pad: str = ""):
-        self.text, self.pad = text, pad
+    def __init__(self, spool, start: int, size: int, pad: str = ""):
+        self.spool, self.start, self.size, self.pad = spool, start, size, pad
 
     def __str__(self) -> str:
-        return self.text[:-1].replace("\n", "\n" + self.pad)
+        try:
+            self.spool.seek(self.start)
+            data = self.spool.read(self.size)
+        except OSError as exc:
+            raise StateFormatError(f"cannot read the report spool: {exc}") from exc
+        return data[:-1].decode("utf-8").replace("\n", "\n" + self.pad)
 
 
 def _render(value, pad: str, out: list) -> None:
@@ -149,7 +156,7 @@ def _render(value, pad: str, out: list) -> None:
             opener = ",\n" + inner
         out.append("\n" + pad + "}")
     elif isinstance(value, Rendered):
-        out.append(Rendered(value.text, pad))
+        out.append(Rendered(value.spool, value.start, value.size, pad))
     elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "c":
         _render_matrix(value, out)
     elif isinstance(value, (list, tuple)):
@@ -203,10 +210,29 @@ def write_canonical(doc: dict, stream) -> None:
 
     Every piece is rendered before the first is written, so a value
     with no canonical text raises with nothing written.  Embedded
-    ``Rendered`` texts are written one at a time, each padded as it goes.
+    ``Rendered`` texts are read back from their spool and written one
+    at a time, each padded as it goes, so no two are held at once.
     """
     for piece in _pieces(doc):
         stream.write(str(piece))
+
+
+def spool_canonical(doc: dict, spool) -> Rendered:
+    """Append the canonical text of ``doc`` to ``spool``; the piece that stands for it.
+
+    The text is flushed to the file before this returns, so a spool
+    that cannot take it raises here, as a StateFormatError, and not
+    when the piece is read back.  A value with no canonical text
+    raises before anything is written.
+    """
+    data = dumps_canonical(doc).encode("utf-8")
+    try:
+        start = spool.seek(0, io.SEEK_END)
+        spool.write(data)
+        spool.flush()
+    except OSError as exc:
+        raise StateFormatError(f"cannot write the report spool: {exc}") from exc
+    return Rendered(spool, start, len(data))
 
 
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:

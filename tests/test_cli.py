@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
@@ -9,6 +10,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from qdisent.cli import build_parser, main
 from qdisent.correlated import disentanglement_report
 from qdisent.stateio import dumps_canonical, save_state
 from qdisent.states import random_state
+from test_properties import top_kronecker_pair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,12 +48,12 @@ def as_matrix(grid):
 
 
 def run_subprocess(cwd, *argv):
-    """Run ``python -m qdisent.cli`` from ``cwd`` with ``src`` importable."""
+    """Run ``python -W error -m qdisent.cli`` from ``cwd`` with ``src`` importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     env.pop("QDISENT_TOL", None)
-    return subprocess.run([sys.executable, "-m", "qdisent.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "qdisent.cli", *argv],
                           cwd=cwd, env=env, capture_output=True, text=True)
 
 
@@ -582,13 +586,17 @@ def _plant_nan_factor(monkeypatch, nan_call):
     return calls
 
 
-def _unrenderable_batch(tmp_path, monkeypatch):
-    """(batch directory, calls): two files, only the second item's report holds a nan."""
+def _two_file_batch(tmp_path):
     batch = tmp_path / "batch"
     batch.mkdir()
     write_doc(batch / "a.json", [0.25, 0.25, 0.25, 0.25])
     write_doc(batch / "b.json", [0.5, 0.5, 0.0, 0.0])
-    return batch, _plant_nan_factor(monkeypatch, 2)
+    return batch
+
+
+def _unrenderable_batch(tmp_path, monkeypatch):
+    """(batch directory, calls): two files, only the second item's report holds a nan."""
+    return _two_file_batch(tmp_path), _plant_nan_factor(monkeypatch, 2)
 
 
 def test_unrenderable_report_exits_3(tmp_path, monkeypatch, capsys):
@@ -681,7 +689,10 @@ def test_each_item_opens_its_file_once(tmp_path, monkeypatch, capsys, cmd):
     monkeypatch.setattr(builtins, "open", spy)
     code, doc, _ = run_json(capsys, cmd, str(batch))
     assert code == 0
-    assert sorted(opened) == ["a.json", "b.json"]
+    # besides its state files, a batch opens its report spool, which
+    # tempfile opens through the temporary directory's path
+    spool = os.path.basename(tempfile.gettempdir())
+    assert sorted(opened) == sorted(["a.json", "b.json", spool])
     for item in doc["items"]:
         data = (batch / os.path.basename(item["input"])).read_bytes()
         assert item["digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
@@ -922,7 +933,18 @@ def _usage_error(tmp_path, monkeypatch):
     return ["disentangle", "--m", "0", str(tmp_path / "s.json")], 3
 
 
-COLLECTOR_CASES = [_one_valid_file, _exit_1_and_exit_3_items, _unrenderable, _usage_error]
+def _spool_cannot_be_created(tmp_path, monkeypatch):
+    _failing_spool(monkeypatch, "create")
+    return ["disentangle", str(_two_file_batch(tmp_path))], 3
+
+
+def _spool_cannot_be_written(tmp_path, monkeypatch):
+    _failing_spool(monkeypatch, "write")
+    return ["disentangle", str(_two_file_batch(tmp_path))], 3
+
+
+COLLECTOR_CASES = [_one_valid_file, _exit_1_and_exit_3_items, _unrenderable, _usage_error,
+                   _spool_cannot_be_created, _spool_cannot_be_written]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
@@ -953,6 +975,117 @@ def test_a_batch_leaves_no_cycles(tmp_path, capsys, cmd):
     gc.collect()
     assert run(capsys, cmd, str(tmp_path))[0] == 3
     assert gc.collect() == 0
+
+
+# --------------------------------------------------------------------- spool
+
+
+def _failing_spool(monkeypatch, fails):
+    """Make the report spool fail as a full disk does, on create or on write.
+
+    Returns the spools made.
+    """
+    made = []
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    class FullSpool(io.BytesIO):
+        write = full
+
+    def create(*args, **kwargs):
+        if fails == "create":
+            full()
+        made.append(FullSpool())
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", create)
+    return made
+
+
+SPOOL_ERRORS = {
+    "create": "error: cannot create the report spool: [Errno 28] No space left on device\n",
+    "write": "error: StateFormatError: cannot write the report spool:"
+             " [Errno 28] No space left on device\n",
+}
+
+
+@pytest.mark.parametrize("fails", SPOOL_ERRORS)
+def test_a_spool_failure_exits_3_with_nothing_on_stdout(tmp_path, monkeypatch, capsys,
+                                                         fails):
+    batch = _two_file_batch(tmp_path)
+    spools = _failing_spool(monkeypatch, fails)
+    assert run(capsys, "disentangle", str(batch)) == (3, "", SPOOL_ERRORS[fails])
+    assert [spool.closed for spool in spools] == ([True] if fails == "write" else [])
+    # a single file opens no spool
+    assert run(capsys, "disentangle", str(batch / "a.json"))[0] == 0
+    assert len(spools) == (fails == "write")
+
+
+class _Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_batch_memory_stays_flat_as_the_file_count_grows(tmp_path, monkeypatch, capsys):
+    # item texts wait in the spool, not in memory: three times the files
+    # raise a batch's traced peak by less than one item's text
+    batches = []
+    for count in (4, 12):
+        batch = tmp_path / str(count)
+        batch.mkdir()
+        for i in range(count):
+            save_state(batch / f"{i:02d}.json", random_state((4, 4), seed=i))
+        batches.append(str(batch))
+    item_text = len(run(capsys, "disentangle", os.path.join(batches[0], "00.json"))[1])
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    assert main(["disentangle", batches[0]]) == 0  # warm-up
+    peaks = []
+    tracemalloc.start()
+    try:
+        for batch in batches:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["disentangle", batch]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < item_text
+
+
+# ---------------------------------------------------------------- noisy Bell
+
+
+def _noisy_bell(eps):
+    """(1 - eps)|Phi+><Phi+| + eps diag(0.7, 0.3) x diag(0.6, 0.4)."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    noise = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
+    return ((1.0 - eps) * np.outer(phi, phi) + eps * noise).astype(complex)
+
+
+def test_noisy_bell_states_meet_the_sweep_limit(tmp_path):
+    # the realigned state's (s2/s1)^2 is 0.978 at eps = 1e-2 and 0.9998
+    # at eps = 1e-4; the solver needs about log(tol) / log((s2/s1)^2)
+    # sweeps, 1263 and 126837, against the default 10000
+    for eps in ("1e-2", "1e-4"):
+        (tmp_path / f"{eps}.json").write_text(
+            dumps_canonical({"dims": [2, 2], "rho": _noisy_bell(float(eps))}))
+    proc = run_subprocess(tmp_path, "disentangle", "1e-4.json")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    item = json.loads(proc.stdout)
+    assert item["error"].startswith("NonConvergence: no convergence after 10000 sweeps")
+    assert item["solver"]["iterations"] == 10000
+    proc = run_subprocess(tmp_path, "disentangle", "1e-2.json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    item = json.loads(proc.stdout)
+    a, b, gap = top_kronecker_pair(_noisy_bell(1e-2), (2, 2))
+    assert 0.97 < gap < 0.98
+    # the limit pair is not Bell's (I/2, I/2)
+    assert abs(a[0, 0] - 0.6489) < 1e-4
+    assert np.abs(as_matrix(item["factor_a"]) - a).max() <= 1e-9
+    assert np.abs(as_matrix(item["factor_b"]) - b).max() <= 1e-9
 
 
 def test_subprocess_entry_point(tmp_path):

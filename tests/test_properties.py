@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdisent.cli import main
@@ -64,6 +64,44 @@ def test_converged_solve_resubstitutes(dims, seed):
     pair = fixed_point_solve(state)
     assert pair.converged
     assert max(fixed_point_residuals(state, pair.rho_a, pair.rho_b)) <= 1e-10
+
+
+def top_kronecker_pair(rho, dims):
+    """(A, B, (s2/s1)^2): the unit-trace top singular pair of ``rho`` realigned.
+
+    ``R[(a,c),(b,d)] = rho[(a,b),(c,d)]`` is the realigned matrix of the
+    CCNR criterion.  Its top singular pair, reshaped to matrices, is
+    the Kronecker product nearest to ``rho`` in Frobenius norm (Van
+    Loan & Pitsianis, 1993).  Only ``np.linalg.svd`` is used.
+    """
+    n_a, n_b = dims
+    r = rho.reshape(n_a, n_b, n_a, n_b).transpose(0, 2, 1, 3).reshape(n_a**2, n_b**2)
+    u, s, vh = np.linalg.svd(r)
+    a, b = u[:, 0].reshape(n_a, n_a), vh[0].reshape(n_b, n_b)
+    return a / np.trace(a), b / np.trace(b), (s[1] / s[0]) ** 2
+
+
+def _density_of_rank(n, rank, rng, noise=0.0):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    return (1.0 - noise) * m / np.trace(m).real + noise * np.eye(n) / n
+
+
+@settings(max_examples=100, deadline=None)
+@given(DIMS, SEEDS, st.sampled_from(["full", "any_rank", "near_pure", "pure"]))
+def test_m1_pair_is_the_top_singular_pair_of_the_realigned_state(dims, seed, kind):
+    # at m = 1 a sweep is a step of power iteration on R R^dag, so the
+    # solver reaches the top singular pair of R whenever its top
+    # singular value stands clear; pure states take the clamp path
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1]
+    rank = {"full": n, "any_rank": int(rng.integers(1, n + 1))}.get(kind, 1)
+    rho = _density_of_rank(n, rank, rng, noise=0.01 if kind == "near_pure" else 0.0)
+    a, b, gap = top_kronecker_pair(rho, dims)
+    assume(gap <= 0.9)
+    pair = fixed_point_solve(BipartiteState(rho, dims))
+    assert np.abs(pair.rho_a - a).max() <= 1e-9
+    assert np.abs(pair.rho_b - b).max() <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,10 @@
 """Round-trip and format checks for the JSON state files."""
 
+import errno
 import hashlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,9 +27,9 @@ from qdisent import (
 )
 from qdisent.stateio import (
     _MIRROR_MIN_N,
-    Rendered,
     _screen_grid,
     _walk_grid,
+    spool_canonical,
     write_canonical,
 )
 
@@ -144,16 +147,22 @@ def test_dumps_canonical_list_of_dicts_is_multiline():
 
 
 def test_rendered_text_nests_at_any_depth():
-    # the text of a document nested at pad p is its top-level text with
-    # p after every newline; a newline inside a string stays escaped
+    # the text of a document nested at pad p is its spooled top-level
+    # text with p after every newline; a newline inside a string stays
+    # escaped.  A spooled text may itself embed one read back from the
+    # same spool, and the next text still goes to the end
     inner = {"s": "two\nlines", "rho": np.eye(2, dtype=complex),
              "sub": {"items": [{"i": 1}, {}], "e": []}}
     doc = {"command": "c", "items": [inner, {"j": None}],
-           "deep": {"x": [inner]}}
-    nested = {"command": "c",
-              "items": [Rendered(dumps_canonical(inner)), {"j": None}],
-              "deep": {"x": [Rendered(dumps_canonical(inner))]}}
-    assert dumps_canonical(nested) == dumps_canonical(doc)
+           "deep": {"x": [{"sub": inner}]}}
+    with tempfile.TemporaryFile() as spool:
+        first = spool_canonical(inner, spool)
+        nested = {"command": "c", "items": [first, {"j": None}],
+                  "deep": {"x": [spool_canonical({"sub": first}, spool)]}}
+        assert dumps_canonical(nested) == dumps_canonical(doc)
+        spool.seek(0)
+        assert spool.read() == dumps_canonical(inner).encode() + dumps_canonical(
+            {"sub": inner}).encode()
 
 
 class _Writes(list):
@@ -163,16 +172,50 @@ class _Writes(list):
 
 
 def test_write_canonical_writes_the_text_or_nothing():
-    doc = {"items": [Rendered(dumps_canonical({"i": i})) for i in range(3)]}
-    writes = _Writes()
-    write_canonical(doc, writes)
-    assert "".join(writes) == dumps_canonical(doc)
-    assert [t.count('"i": ') for t in writes].count(1) == 3
-    writes.clear()
-    doc["items"].append({"v": np.nan})
-    with pytest.raises(StateFormatError, match="non-finite value nan"):
+    with tempfile.TemporaryFile() as spool:
+        doc = {"items": [spool_canonical({"i": i}, spool) for i in range(3)]}
+        writes = _Writes()
         write_canonical(doc, writes)
-    assert writes == []
+        assert "".join(writes) == dumps_canonical(doc)
+        assert [t.count('"i": ') for t in writes].count(1) == 3
+        writes.clear()
+        doc["items"].append({"v": np.nan})
+        with pytest.raises(StateFormatError, match="non-finite value nan"):
+            write_canonical(doc, writes)
+        assert writes == []
+
+
+class _FailingSpool(io.BytesIO):
+    """A spool whose ``fail`` method raises an I/O error."""
+
+    def __init__(self, fail):
+        super().__init__()
+        setattr(self, fail, self._full)
+
+    def _full(self, *args):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("fail", ["write", "flush"])
+def test_a_spool_that_cannot_be_written_raises_at_once(fail):
+    # a text the spool could not take raises before any piece stands
+    # for it; one with no canonical text is never written
+    with _FailingSpool(fail) as spool:
+        with pytest.raises(StateFormatError, match=(
+                r"^cannot write the report spool: \[Errno 5\] Input/output error$")):
+            spool_canonical({"i": 1}, spool)
+    with tempfile.TemporaryFile() as spool:
+        with pytest.raises(StateFormatError, match="non-finite value nan"):
+            spool_canonical({"v": np.nan}, spool)
+        assert spool.tell() == 0
+
+
+def test_a_spool_that_cannot_be_read_raises_a_format_error():
+    with _FailingSpool("read") as spool:
+        doc = {"items": [spool_canonical({"i": 1}, spool)]}
+        with pytest.raises(StateFormatError, match=(
+                r"^cannot read the report spool: \[Errno 5\] Input/output error$")):
+            dumps_canonical(doc)
 
 
 def test_dumps_canonical_escapes_strings():
