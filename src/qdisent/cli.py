@@ -15,6 +15,7 @@ tolerance can be set through the QDISENT_TOL environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -94,6 +95,22 @@ _KIND_ALIASES = {
 
 class _CliError(Exception):
     """A usage, input or I/O failure: ``main`` prints it and exits 3."""
+
+
+def _report(write) -> None:
+    """Call ``write(sys.stdout)``, then flush; a failed write or flush is a _CliError.
+
+    stdout is then closed, which drops what its buffer still holds, so
+    the interpreter's own flush at exit has nothing left to fail on.
+    """
+    out = sys.stdout
+    try:
+        write(out)
+        out.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            out.close()
+        raise _CliError(f"cannot write the report: {exc}") from exc
 
 
 def _check_finite(value: float, name: str, shown) -> None:
@@ -176,7 +193,7 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
         paths, batch = _expand(path)
         if not batch:
             item, code = _run_item(item_fn, paths[0])
-            sys.stdout.write(dumps_canonical({"command": echo, **item}))
+            _report(lambda out: out.write(dumps_canonical({"command": echo, **item})))
             return code
         try:
             spool = tempfile.TemporaryFile()
@@ -189,7 +206,7 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
                 item, code = _run_item(item_fn, item_path)
                 items.append(spool_canonical(item, spool))
                 worst = max(worst, code)
-            write_canonical({"command": echo, "items": items}, sys.stdout)
+            _report(functools.partial(write_canonical, {"command": echo, "items": items}))
         return worst
     finally:
         if enabled:
@@ -359,7 +376,7 @@ def cmd_generate(args) -> int:
     doc = {"command": echo, "out": args.out, "digest": file_digest(args.out),
            "dims": [n_a, n_b], "kind": kind,
            "seed": args.seed}
-    sys.stdout.write(dumps_canonical(doc))
+    _report(lambda out: out.write(dumps_canonical(doc)))
     return EXIT_OK
 
 
@@ -375,8 +392,8 @@ def cmd_bench2q(args) -> int:
     _check_at_most(args.cases, BENCH2Q_MAX_CASES, "--cases")
     _check_at_least(args.seed, 0, "--seed")
     rows = transcription_bench(cases=args.cases, seed=args.seed)
-    print(f"two-qubit transcription bench cases={args.cases} seed={args.seed}"
-          f" gate={_short(BENCH_GATE)}")
+    lines = [f"two-qubit transcription bench cases={args.cases} seed={args.seed}"
+             f" gate={_short(BENCH_GATE)}"]
     breached = False
     for row in rows:
         if row.gated:
@@ -385,9 +402,10 @@ def cmd_bench2q(args) -> int:
             status = "ok" if ok else "BREACH"
         else:
             status = "reported"
-        print(f"{row.label:<26} max_deviation={_short(row.max_deviation):<24}"
-              f" {status}")
-    print("result: " + ("breach" if breached else "pass"))
+        lines.append(f"{row.label:<26} max_deviation={_short(row.max_deviation):<24}"
+                     f" {status}")
+    lines.append("result: " + ("breach" if breached else "pass"))
+    _report(lambda out: out.write("".join(line + "\n" for line in lines)))
     return EXIT_INVALID if breached else EXIT_OK
 
 
@@ -480,13 +498,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 means non-convergence here,
-        # so usage trouble leaves through 3 with the rest of the parse/I-O
-        # failures (--help exits 0)
-        return EXIT_OK if exc.code == EXIT_OK else EXIT_FORMAT
-    try:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors; 2 means non-convergence
+            # here, so usage trouble leaves through 3 with the rest of the
+            # parse/I-O failures (--help exits 0, its text written unflushed)
+            if exc.code != EXIT_OK:
+                return EXIT_FORMAT
+            _report(lambda out: None)
+            return EXIT_OK
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,13 @@ is a density matrix is left to ``BipartiteState``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,131 @@ def format_real(x: float) -> str:
 # one-template time), tied at 12 and won from n = 16 (0.90-0.99x; 0.73-0.77x
 # at n = 64).
 _MIRROR_MIN_N = 16
+# Fewest upper-triangle values, n * (n + 1), that a hermitian grid formats
+# with _texts17 instead of one %.17g a value.  Timing _render_hermitian both
+# ways on a 2-core VM, the kernel lost at n = 16 and 17 (1.02-1.06x), won
+# from n = 18 (0.92-0.98x) and took 0.63-0.76x at n = 64.  It formats
+# _TEXTS17_BLOCK values a call, which bounds its temporary arrays.
+_TEXTS17_MIN = 18 * 19
+_TEXTS17_BLOCK = 1024
 
 # the text between a cell's re and |im|, indexed by im < 0
 _IM_SEPARATORS = np.array([", ", ", -"], dtype=object)
+
+# 10**p == _POW10[p] + _POW10_LO[p] exactly for 0 <= p <= 45: 5**p < 2**106
+# fits two doubles.  _POW10_HEAD + _POW10_TAIL is _POW10 split in halves
+# of at most 26 bits for Dekker's product, as _round17 splits the value.
+_SPLITTER = 2.0 ** 27 + 1
+_POW10 = np.array([float(10 ** p) for p in range(46)])
+_POW10_LO = np.array([float(10 ** p - int(float(10 ** p))) for p in range(46)])
+_POW10_HEAD = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_TAIL = _POW10 - _POW10_HEAD
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """_texts17's two lookup tables, built on first use so that import stays cheap.
+
+    The first holds the four digit codes of each of 0000 .. 9999.  The
+    second says where each character of a ``%.17g`` text comes from.  A
+    value's source row holds its 17 digit codes, then ``-``, ``.``,
+    ``0``, ``e``, the two digits of its exponent's magnitude and a NUL.
+    Row ``(neg * 6 + form) * 17 + s - 1`` of the table lists, for each
+    of the 23 characters of a text, its column in the source row, for
+    ``s`` significant digits and the form ``-k`` (k = 0 .. -4, fixed
+    point) or 5 (k < -4, exponent), k the decimal exponent.  NULs pad
+    the text; numpy drops them when it makes the str.
+    """
+    digits4 = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    minus, dot, zero, e, tens, ones, nul = range(17, 24)
+    layouts = []
+    for neg in (0, 1):
+        for form in range(6):
+            for s in range(1, 18):
+                text = [minus] if neg else []
+                if 1 <= form <= 4:  # 0.000ddd
+                    text += [zero, dot] + [zero] * (form - 1) + list(range(s))
+                else:  # d.ddd, then e-XX
+                    text += [0] + ([dot] + list(range(1, s)) if s > 1 else [])
+                    if form == 5:
+                        text += [e, minus, tens, ones]
+                layouts.append(text + [nul] * (23 - len(text)))
+    return np.ascontiguousarray(digits4), np.array(layouts, dtype=np.intp)
+
+
+def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(digits, k, proven)``: ``|x|`` rounded to ``digits * 10**(k - 16)``, 17 digits.
+
+    A value with ``1e-29 <= |x| < 10`` has a decimal exponent
+    ``-29 <= k <= 0``, and its 17 digits are ``|x| * 10**(16 - k)``
+    rounded to an integer.  With ``10**p`` held as two doubles and the
+    product with the first formed by Dekker's error-free product
+    (1971), the integer part is exact and the fraction is off by less
+    than 1e-14.  ``k`` comes from ``log10``, which may be one off; the
+    digits then fall outside ``(10**16, 10**17)``.  A value is not
+    proven when it is out of that range, when its digits are out of
+    theirs (``10**16`` itself too: either ``k`` can give it), or when
+    its fraction lies within ``2**-30`` of one half, where the rounding
+    (to even on a tie) cannot be settled.  A zero is proven, with
+    digits 0 and k 0.
+    """
+    a = np.abs(x)
+    zero = a == 0.0
+    ok = (a >= 1e-29) & (a < 10.0)
+    a = np.where(ok, a, 1.0)  # keeps log10 and the int casts finite
+    k = np.clip(np.floor(np.log10(a)), -29, 0).astype(np.intp)
+    p = 16 - k
+    top = a * _POW10[p]
+    split = _SPLITTER * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    hi, lo = _POW10_HEAD[p], _POW10_TAIL[p]
+    err = ((a_hi * hi - top) + a_hi * lo + a_lo * hi) + a_lo * lo  # a*_POW10 - top
+    rest = err + a * _POW10_LO[p]
+    whole = np.floor(rest)
+    frac = rest - whole
+    digits = top.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    ok &= (np.abs(frac - 0.5) > 2.0 ** -30) & (digits > 10 ** 16) & (digits < 10 ** 17)
+    ok |= zero
+    digits[zero] = 0
+    k[zero] = 0
+    return digits, k, ok
+
+
+def _texts17(values: np.ndarray) -> list:
+    """``'%.17g' % x`` for every value of a finite float64 array, as a list of str.
+
+    The digits come from ``_round17``; a value it cannot prove is
+    formatted by ``%.17g`` itself.
+    """
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    digits, k, ok = _round17(x)
+    # the 17 digits, the leading one alone and the rest four at a time
+    lead = digits // 10 ** 16
+    low = digits - lead * 10 ** 16
+    groups = np.empty((n, 4), dtype=np.intp)
+    groups[:, 1] = low // 10 ** 8
+    groups[:, 3] = low - groups[:, 1] * 10 ** 8
+    groups[:, ::2] = groups[:, 1::2] // 10 ** 4
+    groups[:, 1::2] -= groups[:, ::2] * 10 ** 4
+    source = np.empty((n, 24), dtype=np.uint32)
+    source[:, 0] = 48 + lead
+    digits4, layouts = _text_tables()
+    source[:, 1:17] = np.take(digits4, groups, axis=0).reshape(n, 16)
+    source[:, 17:21] = (45, 46, 48, 101)  # - . 0 e
+    source[:, 21] = 48 + (-k) // 10
+    source[:, 22] = 48 + (-k) % 10
+    source[:, 23] = 0
+    s = 17 - np.argmax(source[:, 16::-1] != 48, axis=1)  # digits but trailing zeros
+    s[digits == 0] = 1  # a zero prints as "0"
+    form = np.where(k >= -4, -k, 5)
+    at = np.take(layouts, (np.signbit(x) * 6 + form) * 17 + s - 1, axis=0)
+    at += (24 * np.arange(n))[:, None]
+    texts = np.take(source, at).view("U23").ravel().tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        texts[i] = "%.17g" % x[i]
+    return texts
 
 
 def _render_matrix(m: np.ndarray, out: list) -> None:
@@ -82,11 +205,19 @@ def _render_hermitian(c: np.ndarray, out: list) -> None:
     the text of its magnitude.  Cell (j, i) below the diagonal shares re
     and |im| with (i, j), so each is formatted once, one string per
     value.  Rows are joined as soon as they are complete, which frees a
-    value's text once both of its cells are written.
+    value's text once both of its cells are written.  A large triangle
+    is formatted by ``_texts17``, a block of values at a time, to the
+    same strings.
     """
     n = len(c)
-    parts = np.stack((c.real + 0.0, np.abs(c.imag)), axis=-1)
-    fmt = "%.17g".__mod__
+    rows, cols = np.triu_indices(n)
+    upper = np.stack((c.real + 0.0, np.abs(c.imag)), axis=-1)[rows, cols].ravel()
+    if len(upper) >= _TEXTS17_MIN:
+        texts = chain.from_iterable(
+            _texts17(upper[i:i + _TEXTS17_BLOCK])
+            for i in range(0, len(upper), _TEXTS17_BLOCK))
+    else:
+        texts = map("%.17g".__mod__, upper.tolist())
     # four pieces a cell: re, separator, |im| and what closes the cell
     width = 4 * n
     pieces = ["], ["] * (width * n)
@@ -96,8 +227,8 @@ def _render_hermitian(c: np.ndarray, out: list) -> None:
     done = [None] * width
     out.append("[[[")
     for i in range(n):
-        texts = list(map(fmt, parts[i, i:].ravel().tolist()))  # cells (i, i..n-1)
-        re, im = texts[::2], texts[1::2]
+        row = list(islice(texts, 2 * (n - i)))  # cells (i, i..n-1)
+        re, im = row[::2], row[1::2]
         start, stop = width * i, width * (i + 1)
         diag = start + 4 * i
         pieces[diag:stop:4] = re

@@ -47,14 +47,22 @@ def as_matrix(grid):
     return np.array([[complex(re, im) for re, im in row] for row in grid])
 
 
-def run_subprocess(cwd, *argv):
-    """Run ``python -W error -m qdisent.cli`` from ``cwd`` with ``src`` importable."""
+def run_subprocess(cwd, *argv, stdout=subprocess.PIPE, unbuffered=None):
+    """Run ``python -W error -m qdisent.cli`` from ``cwd`` with ``src`` importable.
+
+    ``unbuffered`` set (True or False) sets or clears PYTHONUNBUFFERED.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     env.pop("QDISENT_TOL", None)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-W", "error", "-m", "qdisent.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True)
 
 
 def write_doc(path, diag, corner=None):
@@ -666,6 +674,9 @@ def test_batch_report_is_written_one_item_at_a_time(tmp_path, monkeypatch):
             writes.append(text)
             return len(text)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Recorder())
     assert main(["disentangle", str(tmp_path)]) == 0
     assert len(json.loads("".join(writes))["items"]) == 3
@@ -1028,6 +1039,9 @@ class _Discard:
     def write(self, text):
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def test_batch_memory_stays_flat_as_the_file_count_grows(tmp_path, monkeypatch, capsys):
     # item texts wait in the spool, not in memory: three times the files
@@ -1053,6 +1067,60 @@ def test_batch_memory_stays_flat_as_the_file_count_grows(tmp_path, monkeypatch, 
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < item_text
+
+
+# ------------------------------------------------------------- full stdout
+
+WRITE_ERROR = "error: cannot write the report: [Errno 28] No space left on device\n"
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: ``write`` or only ``flush`` raises ENOSPC.
+
+    A buffered stdout takes a short report and fails when it is flushed.
+    """
+
+    def __init__(self, fails):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if not self.closed:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("cmd", [["validate", "a.json"], ["disentangle", "."],
+                                 ["generate", "bell", "--out", "g.json"],
+                                 ["bench2q", "--cases", "2"], ["--help"]],
+                         ids=["single", "batch", "generate", "bench2q", "help"])
+def test_a_report_that_cannot_be_written_exits_3(tmp_path, monkeypatch, capsys, cmd,
+                                                 fails):
+    # one error line, exit 3, and stdout closed, so that nothing is left
+    # for the interpreter's own flush at exit
+    monkeypatch.chdir(_two_file_batch(tmp_path))
+    out = _FullStdout(fails)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(cmd) == 3
+    assert capsys.readouterr().err == WRITE_ERROR
+    assert out.closed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("cmd", [["validate", "a.json"], ["disentangle", "."]],
+                         ids=["single", "batch"])
+def test_a_full_disk_on_stdout_exits_3_without_a_traceback(tmp_path, cmd, unbuffered):
+    batch = _two_file_batch(tmp_path)
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = run_subprocess(batch, *cmd, stdout=full, unbuffered=unbuffered)
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert (proc.returncode, proc.stderr) == (3, WRITE_ERROR)
 
 
 # ---------------------------------------------------------------- noisy Bell

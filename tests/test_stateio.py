@@ -4,7 +4,14 @@ import errno
 import hashlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +34,9 @@ from qdisent import (
 )
 from qdisent.stateio import (
     _MIRROR_MIN_N,
+    _TEXTS17_BLOCK,
+    _TEXTS17_MIN,
+    _texts17,
     _screen_grid,
     _walk_grid,
     spool_canonical,
@@ -99,6 +109,91 @@ def test_format_real_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(StateFormatError):
             format_real(bad)
+
+
+# 5**-p modulo 2**64 for p = 16 .. 23
+_INVERSE_POW5 = np.array([pow(5 ** p, -1, 2 ** 64) for p in range(16, 24)], dtype=np.uint64)
+
+
+def _ties(rng, count):
+    """Doubles in [1e-7, 10) whose 17-digit scaling ends in exactly or nearly 1/2.
+
+    ``x = m * 2**e`` with decimal exponent k, times ``10**p`` (p = 16 - k),
+    is ``m * 5**p / 2**q`` (q = -(e + p), 33 to 53 here), so the low q bits
+    of m pick the fraction: ``1/2 + t / 2**q``.  With |t| <= 2 the near
+    ties sit as close as 2e-16 to one half.
+    """
+    k = rng.integers(-7, 1, count)
+    m, e = np.frexp(rng.uniform(10.0 ** k, 10.0 ** (k + 1)))
+    m, e = (m * 2.0 ** 53).astype(np.uint64), e - 53
+    q = (k - 16 - e).astype(np.uint64)
+    low = (np.uint64(1) << q) - np.uint64(1)
+    t = rng.integers(-2, 3, count).astype(np.uint64)  # -1 wraps to 2**64 - 1
+    half = (np.uint64(1) << (q - np.uint64(1))) + t
+    r = half * _INVERSE_POW5[-k] & low  # wraps modulo 2**64
+    return np.ldexp((m & ~low | r).astype(float), e)
+
+
+def texts17_sample(count, seed):
+    """``count`` seeded doubles of the classes ``_texts17`` must print exactly.
+
+    A quarter each of exact and near ties of the 17th digit, of values
+    within 3 ulps of a power of ten, and of matrix-like entries; a
+    twentieth each of subnormals, of values of 10 and up, of values below
+    1e-29, of arbitrary finite bit patterns and of zeros.  Signs are drawn.
+    """
+    rng = np.random.default_rng(seed)
+    n, rare = -(-count // 4), -(-count // 20)
+    powers = (10.0 ** rng.integers(-40, 26, n)).view(np.int64)
+    classes = [
+        _ties(rng, n),
+        (powers + rng.integers(-3, 4, n)).view(float),
+        rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 0.5, n),
+        rng.integers(1, 2 ** 52, rare).view(float),
+        10.0 ** rng.uniform(1, 308, rare),
+        10.0 ** rng.uniform(-307, -29, rare),
+        rng.integers(0, 2 ** 63, rare).view(float),
+        np.zeros(rare),
+    ]
+    x = np.concatenate(classes)[:count]
+    x[~np.isfinite(x)] = 1.5
+    return np.where(rng.random(count) < 0.5, -x, x)
+
+
+def texts17_mismatches(count, seed, block=100_000):
+    """The values of ``texts17_sample(count, seed)`` that ``_texts17`` misprints."""
+    x = texts17_sample(count, seed)
+    bad = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start in range(0, count, block):
+            part = x[start:start + block]
+            got = list(chain.from_iterable(_texts17(part[i:i + _TEXTS17_BLOCK])
+                                           for i in range(0, len(part), _TEXTS17_BLOCK)))
+            bad += [v for v, text in zip(part.tolist(), got) if text != "%.17g" % v]
+    return bad
+
+
+def test_texts17_prints_what_percent_17g_prints():
+    # the grid render's kernel, against the per-value format it stands
+    # in for (CI sweeps 2,000,000 doubles the same way)
+    assert texts17_mismatches(240_000, seed=0) == []
+
+
+def test_the_grid_kernel_loads_no_numpy_string_module():
+    # _texts17 builds its texts from code points, so neither importing the
+    # command line nor rendering a large hermitian grid loads numpy's string
+    # functions (np.char, np.strings), which would slow every command's start
+    code = ("import sys, numpy as np\n"
+            "import qdisent.cli\n"
+            "from qdisent.stateio import dumps_canonical\n"
+            "dumps_canonical({'g': np.eye(64, dtype=complex) / 3})\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.endswith(('strings', 'defchararray'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # ----------------------------------------------------------- canonical dumps
@@ -459,8 +554,11 @@ def _list_grid(m):
 
 
 # both sides of the size at which a hermitian grid renders from its upper
-# triangle
+# triangle, and of the one from which that triangle goes to _texts17
 HERMITIAN_SIZES = st.integers(1, _MIRROR_MIN_N + 4)
+# the smallest n whose triangle goes to _texts17
+KERNEL_MIN_N = next(n for n in range(1, 100) if n * (n + 1) >= _TEXTS17_MIN)
+assert _MIRROR_MIN_N < KERNEL_MIN_N <= _MIRROR_MIN_N + 4
 
 
 def _mostly(common, rare):
@@ -528,9 +626,35 @@ def _one_ulp_off(n):
     return m
 
 
+def _tied(n, ulp_off=False):
+    """A hermitian n x n grid of exact ties of the 17th digit, maybe one leaf off.
+
+    Each leaf is ``+-m * 2**-(17 - k)`` with m odd in decade k (0 .. -3):
+    its digits end in a 5 at the 18th, which ``%.17g`` rounds to even.
+    ``ulp_off`` moves leaf (1, 0)'s imaginary part one ulp toward zero.
+    """
+    rng = np.random.default_rng(n)
+    k = rng.integers(-3, 1, (n, n, 2))
+    scale = 2.0 ** (17 - k)
+    odd = 2 * rng.integers(np.ceil(10.0 ** k * scale / 2), 10.0 ** (k + 1) * scale / 2) + 1
+    leaves = np.where(rng.random((n, n, 2)) < 0.5, -1, 1) * odd / scale
+    a = leaves.view(complex)[..., 0]
+    m = np.triu(a) + np.triu(a, 1).conj().T
+    m.imag[np.diag_indices(n)] = 0.0
+    if ulp_off:
+        m.imag[1, 0] = np.nextafter(m.imag[1, 0], 0)
+    return m
+
+
 @UNSHRUNK
 @given(GRIDS, LAYOUTS)
 @example(_one_ulp_off(_MIRROR_MIN_N), "contiguous")
+@example(_one_ulp_off(KERNEL_MIN_N - 1), "contiguous")
+@example(_one_ulp_off(KERNEL_MIN_N), "transposed")
+@example(_tied(KERNEL_MIN_N - 1), "contiguous")
+@example(_tied(KERNEL_MIN_N), "contiguous")
+@example(_tied(64), "sliced")
+@example(_tied(64, ulp_off=True), "contiguous")
 def test_grid_render_matches_per_value_walk(m, layout):
     a = _laid_out(m, layout)
     want = '{\n  "g": ' + _reference_text(a) + "\n}\n"
@@ -570,6 +694,8 @@ def _infinite_pair(n):
 @UNSHRUNK
 @given(_non_finite_grids(), LAYOUTS)
 @example(_infinite_pair(_MIRROR_MIN_N), "contiguous")
+@example(_infinite_pair(KERNEL_MIN_N - 1), "contiguous")
+@example(_infinite_pair(KERNEL_MIN_N), "contiguous")
 def test_grid_render_names_the_first_non_finite_leaf(m, layout):
     a = _laid_out(m, layout)
     # the per-value walk raises for the first one, row-major, re before im
