@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import io
 import math
 import os
 import sys
@@ -498,15 +499,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        # argparse swallows an OSError from its own write of the help
+        # text, so the text is caught here and written as a report
+        helptext = io.StringIO()
         try:
-            args = _parser().parse_args(argv)
+            with contextlib.redirect_stdout(helptext):
+                args = _parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage errors; 2 means non-convergence
             # here, so usage trouble leaves through 3 with the rest of the
-            # parse/I-O failures (--help exits 0, its text written unflushed)
+            # parse/I-O failures (--help exits 0)
             if exc.code != EXIT_OK:
                 return EXIT_FORMAT
-            _report(lambda out: None)
+            _report(lambda out: out.write(helptext.getvalue()))
             return EXIT_OK
         return args.func(args)
     except _CliError as exc:

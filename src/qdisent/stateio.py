@@ -20,7 +20,7 @@ import io
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,22 +42,12 @@ def format_real(x: float) -> str:
     return format(v, ".17g")
 
 
-# Smallest n whose hermitian n x n grid renders from its upper triangle.
-# Formatting half the leaves must pay for the hermitian compare and the
-# row-by-row gather: on a 2-core VM that lost at n = 8 (1.14-1.24x the
-# one-template time), tied at 12 and won from n = 16 (0.90-0.99x; 0.73-0.77x
-# at n = 64).
-_MIRROR_MIN_N = 16
-# Fewest upper-triangle values, n * (n + 1), that a hermitian grid formats
-# with _texts17 instead of one %.17g a value.  Timing _render_hermitian both
-# ways on a 2-core VM, the kernel lost at n = 16 and 17 (1.02-1.06x), won
-# from n = 18 (0.92-0.98x) and took 0.63-0.76x at n = 64.  It formats
-# _TEXTS17_BLOCK values a call, which bounds its temporary arrays.
-_TEXTS17_MIN = 18 * 19
-_TEXTS17_BLOCK = 1024
-
-# the text between a cell's re and |im|, indexed by im < 0
-_IM_SEPARATORS = np.array([", ", ", -"], dtype=object)
+# Smallest n whose hermitian n x n grid renders from its upper triangle,
+# formatted by _codes17, instead of from one %.17g template.  Timing
+# _render_matrix both ways on product states on a 2-core VM, the triangle
+# lost at n = 12 (1.09-1.10x), tied or won at 13 (0.94-0.99x) and won from
+# n = 14 (0.84-0.92x; 0.27x at n = 64).
+_MIRROR_MIN_N = 13
 
 # 10**p == _POW10[p] + _POW10_LO[p] exactly for 0 <= p <= 45: 5**p < 2**106
 # fits two doubles.  _POW10_HEAD + _POW10_TAIL is _POW10 split in halves
@@ -71,17 +61,17 @@ _POW10_TAIL = _POW10 - _POW10_HEAD
 
 @functools.cache
 def _text_tables() -> tuple[np.ndarray, np.ndarray]:
-    """_texts17's two lookup tables, built on first use so that import stays cheap.
+    """_codes17's two lookup tables, built on first use so that import stays cheap.
 
     The first holds the four digit codes of each of 0000 .. 9999.  The
     second says where each character of a ``%.17g`` text comes from.  A
     value's source row holds its 17 digit codes, then ``-``, ``.``,
     ``0``, ``e``, the two digits of its exponent's magnitude and a NUL.
     Row ``(neg * 6 + form) * 17 + s - 1`` of the table lists, for each
-    of the 23 characters of a text, its column in the source row, for
+    of the 24 characters of a text, its column in the source row, for
     ``s`` significant digits and the form ``-k`` (k = 0 .. -4, fixed
     point) or 5 (k < -4, exponent), k the decimal exponent.  NULs pad
-    the text; numpy drops them when it makes the str.
+    the text to 24 codes.
     """
     digits4 = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
     minus, dot, zero, e, tens, ones, nul = range(17, 24)
@@ -96,7 +86,7 @@ def _text_tables() -> tuple[np.ndarray, np.ndarray]:
                     text += [0] + ([dot] + list(range(1, s)) if s > 1 else [])
                     if form == 5:
                         text += [e, minus, tens, ones]
-                layouts.append(text + [nul] * (23 - len(text)))
+                layouts.append(text + [nul] * (24 - len(text)))
     return np.ascontiguousarray(digits4), np.array(layouts, dtype=np.intp)
 
 
@@ -139,11 +129,13 @@ def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, k, ok
 
 
-def _texts17(values: np.ndarray) -> list:
-    """``'%.17g' % x`` for every value of a finite float64 array, as a list of str.
+def _codes17(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % x`` for every value of a finite float64 array, as rows of codes.
 
-    The digits come from ``_round17``; a value it cannot prove is
-    formatted by ``%.17g`` itself.
+    Row i holds the ASCII codes of value i's text, then NULs up to 24
+    codes, the widest text (``-1.2345678901234567e-300``).  The digits
+    come from ``_round17``; a value it cannot prove gets the codes of
+    ``%.17g`` itself.
     """
     x = np.asarray(values, dtype=float)
     n = len(x)
@@ -156,7 +148,7 @@ def _texts17(values: np.ndarray) -> list:
     groups[:, 3] = low - groups[:, 1] * 10 ** 8
     groups[:, ::2] = groups[:, 1::2] // 10 ** 4
     groups[:, 1::2] -= groups[:, ::2] * 10 ** 4
-    source = np.empty((n, 24), dtype=np.uint32)
+    source = np.empty((n, 24), dtype=np.uint8)
     source[:, 0] = 48 + lead
     digits4, layouts = _text_tables()
     source[:, 1:17] = np.take(digits4, groups, axis=0).reshape(n, 16)
@@ -169,10 +161,10 @@ def _texts17(values: np.ndarray) -> list:
     form = np.where(k >= -4, -k, 5)
     at = np.take(layouts, (np.signbit(x) * 6 + form) * 17 + s - 1, axis=0)
     at += (24 * np.arange(n))[:, None]
-    texts = np.take(source, at).view("U23").ravel().tolist()
-    for i in np.flatnonzero(~ok).tolist():
-        texts[i] = "%.17g" % x[i]
-    return texts
+    codes = np.take(source, at)
+    texts = ["%.17g" % v for v in x[~ok].tolist()]
+    codes[~ok] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+    return codes
 
 
 def _render_matrix(m: np.ndarray, out: list) -> None:
@@ -197,46 +189,50 @@ def _render_matrix(m: np.ndarray, out: list) -> None:
     out.append(template % tuple((leaves + 0.0).ravel().tolist()))
 
 
+@functools.cache
+def _grid_plan(n: int) -> tuple:
+    """``(mirror, skeleton, upper)``, read-only, for rendering a hermitian n x n grid.
+
+    ``upper`` is ``np.triu_indices(n)``, the cells whose values are
+    formatted, and ``mirror[i * n + j]`` is the place there of cell
+    (i, j) or of its mirror (j, i).  ``skeleton`` is the grid text's
+    codes but the values': ``[[``, then 57 a cell, ``[``, 24 NULs for
+    re, ``, ``, 25 NULs for the sign of im and |im|, and 5 codes that
+    close the cell, ``], `` and NULs, ``]], [`` at a row's end or
+    ``]]]`` and NULs at the grid's.
+    """
+    upper = np.triu_indices(n)
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[upper] = mirror.T[upper] = np.arange(len(upper[0]))
+    cell = b"[" + bytes(24) + b", " + bytes(25)
+    row = (cell + b"], \0\0") * (n - 1) + cell + b"]], ["
+    skeleton = np.frombuffer((b"[[" + row * n)[:-5] + b"]]]\0\0", np.uint8)
+    for a in (mirror, *upper):
+        a.flags.writeable = False
+    return mirror.ravel(), skeleton, upper
+
+
 def _render_hermitian(c: np.ndarray, out: list) -> None:
     """Append the grid text of a finite hermitian array, formatting its upper triangle.
 
     A cell prints as ``[``, the text of re, ``, `` and, if im < 0, ``-``,
     the text of |im|, ``]``: ``%.17g`` of a negative value is ``-`` and
     the text of its magnitude.  Cell (j, i) below the diagonal shares re
-    and |im| with (i, j), so each is formatted once, one string per
-    value.  Rows are joined as soon as they are complete, which frees a
-    value's text once both of its cells are written.  A large triangle
-    is formatted by ``_texts17``, a block of values at a time, to the
-    same strings.
+    and |im| with (i, j), so only the triangle is formatted, by
+    ``_codes17``.  Every cell's codes go into a copy of the plan's
+    skeleton, and the buffer, without its NULs, is decoded once.
     """
     n = len(c)
-    rows, cols = np.triu_indices(n)
-    upper = np.stack((c.real + 0.0, np.abs(c.imag)), axis=-1)[rows, cols].ravel()
-    if len(upper) >= _TEXTS17_MIN:
-        texts = chain.from_iterable(
-            _texts17(upper[i:i + _TEXTS17_BLOCK])
-            for i in range(0, len(upper), _TEXTS17_BLOCK))
-    else:
-        texts = map("%.17g".__mod__, upper.tolist())
-    # four pieces a cell: re, separator, |im| and what closes the cell
-    width = 4 * n
-    pieces = ["], ["] * (width * n)
-    pieces[1::4] = _IM_SEPARATORS[(c.imag < 0).ravel().astype(np.intp)].tolist()
-    pieces[width - 1::width] = ["]], [["] * n
-    pieces[-1] = "]]]"
-    done = [None] * width
-    out.append("[[[")
-    for i in range(n):
-        row = list(islice(texts, 2 * (n - i)))  # cells (i, i..n-1)
-        re, im = row[::2], row[1::2]
-        start, stop = width * i, width * (i + 1)
-        diag = start + 4 * i
-        pieces[diag:stop:4] = re
-        pieces[diag + 2:stop:4] = im
-        pieces[diag + width::width] = re[1:]  # cells (i+1..n-1, i)
-        pieces[diag + width + 2::width] = im[1:]
-        out.append("".join(pieces[start:stop]))
-        pieces[start:stop] = done
+    mirror, skeleton, upper = _grid_plan(n)
+    tri = c[upper]
+    codes = _codes17(np.stack((tri.real + 0.0, np.abs(tri.imag)), axis=-1).ravel())
+    pairs = np.take(codes.reshape(-1, 48), mirror, axis=0)
+    buf = skeleton.copy()
+    cells = buf[2:].reshape(n * n, 57)
+    cells[:, 1:25] = pairs[:, :24]
+    cells[:, 28:52] = pairs[:, 24:]
+    cells[:, 27][(c.imag < 0).ravel()] = ord("-")
+    out.append(buf[buf != 0].tobytes().decode("ascii"))
 
 
 class Rendered:
