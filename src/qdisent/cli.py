@@ -49,6 +49,7 @@ from .reductions import neumann_reduce
 from .states import GenSpec, generate
 from .stateio import (
     StateFormatError,
+    copy_spool,
     doc_to_matrix,
     dumps_canonical,
     file_digest,
@@ -56,7 +57,6 @@ from .stateio import (
     load_document,
     save_state,
     spool_canonical,
-    write_canonical,
 )
 from .twoqubit import BENCH_GATE, transcription_bench
 
@@ -177,11 +177,12 @@ def _run_item(item_fn, path: str) -> tuple[dict, int]:
 def _run_batch(echo: str, path: str, item_fn) -> int:
     """Run ``item_fn`` per file under ``path``; emit one report, return the worst code.
 
-    A batch item is rendered as soon as it is filled, which drops its
-    arrays, and its text goes to a spool, an unnamed temporary file, so
-    no two item texts are held at once.  A render error is no item's
-    and, like a spool that cannot be created or written, leaves before
-    any output.
+    A batch report renders straight into a spool, an unnamed temporary
+    text file: its ``items`` value is a generator that runs each file's
+    item only once the previous item's text is written, and no item's
+    text is joined into one string.  The spool is then copied to stdout
+    in blocks.  A render error is no item's and, like a spool that
+    cannot be created or written, leaves before any output.
 
     The cyclic collector is paused throughout: a parsed state file is a
     tree of thousands of lists that cannot hold a cycle, yet building
@@ -197,18 +198,21 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
             _report(lambda out: out.write(dumps_canonical({"command": echo, **item})))
             return code
         try:
-            spool = tempfile.TemporaryFile()
+            spool = tempfile.TemporaryFile("w+", encoding="utf-8")
         except OSError as exc:
             raise _CliError(f"cannot create the report spool: {exc}") from exc
-        with spool:
-            items = []
-            worst = EXIT_OK
+        codes = []
+
+        def items():
             for item_path in paths:
                 item, code = _run_item(item_fn, item_path)
-                items.append(spool_canonical(item, spool))
-                worst = max(worst, code)
-            _report(functools.partial(write_canonical, {"command": echo, "items": items}))
-        return worst
+                codes.append(code)
+                yield item
+
+        with spool:
+            spool_canonical({"command": echo, "items": items()}, spool)
+            _report(functools.partial(copy_spool, spool))
+        return max(codes)
     finally:
         if enabled:
             gc.enable()

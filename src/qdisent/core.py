@@ -73,20 +73,15 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _hermiticity_defect(m: np.ndarray, mh: np.ndarray) -> float:
-    """Largest entrywise distance from ``m`` to its conjugate transpose ``mh``.
+def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Return (largest entrywise distance from ``m`` to ``m^dag``, ``(m + m^dag)/2``).
 
     An empty ``m`` has no such distance and raises DimensionMismatch.
     """
     if not m.size:
         raise DimensionMismatch(f"matrix must be non-empty, got shape {m.shape}")
-    return float(np.abs(m - mh).max())
-
-
-def _hermitize(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Return (``_hermiticity_defect`` of ``m``, ``(m + m^dag)/2``)."""
     mh = m.conj().T
-    return _hermiticity_defect(m, mh), (m + mh) / 2.0
+    return float(np.abs(m - mh).max()), (m + mh) / 2.0
 
 
 def _guard(passed: bool, exc: type[QDisentError], what: str, value: float,
@@ -113,7 +108,7 @@ def _require_hermitian(arr: np.ndarray, tol: float,
     nan, so numpy's overflow and invalid-value warnings are noise.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = _hermiticity_defect(arr, arr.conj().T)
+        defect = _hermitize(arr)[0]
     _guard(defect <= tol, NotHermitian, what, defect, "exceeds tol", tol)
 
 

@@ -4,9 +4,15 @@ A state file is a JSON object with keys ``dims`` (two ints), ``rho``
 (an n x n grid of ``[re, im]`` pairs, n = dims[0] * dims[1]) and an
 optional ``meta`` table of string pairs.  The writer is canonical:
 objects render one key per line in insertion order, arrays render
-inline, every float prints with up to 17 significant digits and both
-zeros print as ``0``.  The same document therefore always produces the
-same bytes, which makes file digests meaningful.
+inline but a list of objects, or a generator, one value per line, every
+float prints with up to 17 significant digits and both zeros print as
+``0``.  The same document therefore always produces the same bytes,
+which makes file digests meaningful.
+
+The text goes out through a ``write`` callable (``write_canonical``).
+A report too large to hold renders straight into a spool, a temporary
+text file (``spool_canonical``), its generator's values made one at a
+time, and is then copied out in blocks (``copy_spool``).
 
 Structural problems raise StateFormatError; whether a well-formed grid
 is a density matrix is left to ``BipartiteState``.
@@ -22,6 +28,7 @@ import math
 import sys
 from itertools import chain
 from pathlib import Path
+from types import GeneratorType
 
 import numpy as np
 
@@ -167,8 +174,8 @@ def _codes17(values: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _render_matrix(m: np.ndarray, out: list) -> None:
-    """Append the canonical text of a 2-D complex array, a grid of ``[re, im]`` cells.
+def _render_matrix(m: np.ndarray, write) -> None:
+    """Write the canonical text of a 2-D complex array, a grid of ``[re, im]`` cells.
 
     The same bytes the per-value recursion gives for the nested list of
     cells: ``+ 0.0`` turns -0.0 into 0.0, which ``%.17g`` prints as
@@ -182,11 +189,11 @@ def _render_matrix(m: np.ndarray, out: list) -> None:
         format_real(leaves[~finite][0])
     rows, cols = c.shape
     if rows == cols >= _MIRROR_MIN_N and np.array_equal(c, c.conj().T):
-        _render_hermitian(c, out)
+        _render_hermitian(c, write)
         return
     row = "[" + ", ".join(("[%.17g, %.17g]",) * cols) + "]"
     template = "[" + ", ".join((row,) * rows) + "]"
-    out.append(template % tuple((leaves + 0.0).ravel().tolist()))
+    write(template % tuple((leaves + 0.0).ravel().tolist()))
 
 
 @functools.cache
@@ -212,8 +219,8 @@ def _grid_plan(n: int) -> tuple:
     return mirror.ravel(), skeleton, upper
 
 
-def _render_hermitian(c: np.ndarray, out: list) -> None:
-    """Append the grid text of a finite hermitian array, formatting its upper triangle.
+def _render_hermitian(c: np.ndarray, write) -> None:
+    """Write the grid text of a finite hermitian array, formatting its upper triangle.
 
     A cell prints as ``[``, the text of re, ``, `` and, if im < 0, ``-``,
     the text of |im|, ``]``: ``%.17g`` of a negative value is ``-`` and
@@ -232,134 +239,113 @@ def _render_hermitian(c: np.ndarray, out: list) -> None:
     cells[:, 1:25] = pairs[:, :24]
     cells[:, 28:52] = pairs[:, 24:]
     cells[:, 27][(c.imag < 0).ravel()] = ord("-")
-    out.append(buf[buf != 0].tobytes().decode("ascii"))
+    write(buf[buf != 0].tobytes().decode("ascii"))
 
 
-class Rendered:
-    """A document's canonical text, rendered ahead of the document that embeds it.
-
-    The text lives in a spool, a binary file open for reading and
-    writing, as the ``size`` bytes from offset ``start``;
-    ``spool_canonical`` puts it there.  Nested at pad ``p``, the same
-    document's text is the spooled text without its trailing newline
-    and with ``p`` inserted after every other newline: canonical text
-    breaks lines only between structural elements, and ``json.dumps``
-    escapes a newline inside a string.  The text is read back, and
-    padded, only when the piece is joined or written.
-    """
-
-    __slots__ = ("spool", "start", "size", "pad")
-
-    def __init__(self, spool, start: int, size: int, pad: str = ""):
-        self.spool, self.start, self.size, self.pad = spool, start, size, pad
-
-    def __str__(self) -> str:
-        try:
-            self.spool.seek(self.start)
-            data = self.spool.read(self.size)
-        except OSError as exc:
-            raise StateFormatError(f"cannot read the report spool: {exc}") from exc
-        return data[:-1].decode("utf-8").replace("\n", "\n" + self.pad)
-
-
-def _render(value, pad: str, out: list) -> None:
-    """Append the canonical pieces of ``value`` to ``out``, nested lines at ``pad``.
-
-    A piece is a str, or a ``Rendered`` whose ``str`` is its text.
-    """
+def _render(value, pad: str, write) -> None:
+    """Write the canonical text of ``value`` through ``write``, nested lines at ``pad``."""
     if isinstance(value, bool):
-        out.append("true" if value else "false")
+        write("true" if value else "false")
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = pad + "  "
         opener = "{\n" + inner
         for key, val in value.items():
             if not isinstance(key, str):
                 raise StateFormatError(f"object keys must be strings, got {key!r}")
-            out.append(opener + json.dumps(key) + ": ")
-            _render(val, inner, out)
+            write(opener + json.dumps(key) + ": ")
+            _render(val, inner, write)
             opener = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(value, Rendered):
-        out.append(Rendered(value.spool, value.start, value.size, pad))
+        write("\n" + pad + "}")
     elif isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "c":
-        _render_matrix(value, out)
+        _render_matrix(value, write)
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
+        if any(isinstance(v, dict) for v in value):
+            _render_lines(value, pad, write)
             return
-        if any(isinstance(v, (dict, Rendered)) for v in value):
-            inner = pad + "  "
-            opener, closer, sep = "[\n" + inner, "\n" + pad + "]", ",\n" + inner
-        else:
-            inner, opener, closer, sep = pad, "[", "]", ", "
+        opener = "["
         for v in value:
-            out.append(opener)
-            _render(v, inner, out)
-            opener = sep
-        out.append(closer)
+            write(opener)
+            _render(v, pad, write)
+            opener = ", "
+        write("[]" if opener == "[" else "]")
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        write(json.dumps(value))
     elif isinstance(value, int):
-        out.append(str(value))
+        write(str(value))
     elif isinstance(value, float):
-        out.append(format_real(value))
+        write(format_real(value))
     elif value is None:
-        out.append("null")
+        write("null")
+    elif isinstance(value, GeneratorType):
+        _render_lines(value, pad, write)
     else:
         raise StateFormatError(f"cannot serialize {type(value).__name__} values")
 
 
-def _pieces(doc: dict) -> list:
-    """Every canonical piece of a document, trailing newline included.
+def _render_lines(values, pad: str, write) -> None:
+    """Write ``values`` as a list of one value a line, each drawn after the last is written."""
+    inner = pad + "  "
+    opener = "[\n" + inner
+    for v in values:
+        write(opener)
+        _render(v, inner, write)
+        opener = ",\n" + inner
+    write("[]" if opener[0] == "[" else "\n" + pad + "]")
+
+
+def write_canonical(doc: dict, write) -> None:
+    """Write a document's canonical text through ``write``, trailing newline included.
 
     A 2-D complex ndarray renders as its grid of ``[re, im]`` cells; of
     a hermitian one only the upper triangle is formatted, to the same
-    bytes.  A ``Rendered`` value embeds its text at its depth.
+    bytes.  A generator renders as a list of one value a line, so its
+    values are made one at a time as the text goes out.
     """
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
-    out: list = []
-    _render(doc, "", out)
-    out.append("\n")
-    return out
+    _render(doc, "", write)
+    write("\n")
 
 
 def dumps_canonical(doc: dict) -> str:
     """Render a document to its canonical text, trailing newline included."""
-    return "".join(map(str, _pieces(doc)))
+    parts: list = []
+    write_canonical(doc, parts.append)
+    return "".join(parts)
 
 
-def write_canonical(doc: dict, stream) -> None:
-    """Write a document's canonical text to ``stream`` piece by piece, never joined.
-
-    Every piece is rendered before the first is written, so a value
-    with no canonical text raises with nothing written.  Embedded
-    ``Rendered`` texts are read back from their spool and written one
-    at a time, each padded as it goes, so no two are held at once.
-    """
-    for piece in _pieces(doc):
-        stream.write(str(piece))
-
-
-def spool_canonical(doc: dict, spool) -> Rendered:
-    """Append the canonical text of ``doc`` to ``spool``; the piece that stands for it.
-
-    The text is flushed to the file before this returns, so a spool
-    that cannot take it raises here, as a StateFormatError, and not
-    when the piece is read back.  A value with no canonical text
-    raises before anything is written.
-    """
-    data = dumps_canonical(doc).encode("utf-8")
+def _spool_call(verb: str, call, *args):
+    """``call(*args)``; an OSError raises as ``cannot <verb> the report spool``."""
     try:
-        start = spool.seek(0, io.SEEK_END)
-        spool.write(data)
-        spool.flush()
+        return call(*args)
     except OSError as exc:
-        raise StateFormatError(f"cannot write the report spool: {exc}") from exc
-    return Rendered(spool, start, len(data))
+        raise StateFormatError(f"cannot {verb} the report spool: {exc}") from exc
+
+
+def spool_canonical(doc: dict, spool) -> None:
+    """Write the canonical text of ``doc`` into ``spool``, a text file, and flush it.
+
+    Only the spool's own write and flush errors raise as a
+    StateFormatError; whatever a generator in ``doc`` raises passes
+    through unchanged.
+    """
+    write_canonical(doc, functools.partial(_spool_call, "write", spool.write))
+    _spool_call("write", spool.flush)
+
+
+def copy_spool(spool, out) -> None:
+    """Copy the text of ``spool`` to ``out`` from its start, in io.DEFAULT_BUFFER_SIZE blocks.
+
+    Only the spool's own errors raise as a StateFormatError; those of
+    ``out`` pass through unchanged.
+    """
+    _spool_call("read", spool.seek, 0)
+    read = functools.partial(_spool_call, "read", spool.read, io.DEFAULT_BUFFER_SIZE)
+    while block := read():
+        out.write(block)
 
 
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:

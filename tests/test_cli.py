@@ -633,13 +633,16 @@ BATCH_COMMANDS = {
 def test_batch_report_nests_the_single_file_reports(tmp_path, monkeypatch, capsys, cmd):
     # the batch report is the canonical render of its items, each the
     # single-file report of the same path without its command: a 16x16
-    # product (rendered from its upper triangle), a 3x2 state, an exit-1
-    # and an exit-3 item, and an input path that needs JSON escapes
+    # and a 64x64 product (rendered from their upper triangles; the 8x8
+    # item's text, about 200 KB, crosses many copy blocks), a 3x2 state,
+    # an exit-1 and an exit-3 item, and an input path that needs JSON
+    # escapes
     monkeypatch.chdir(tmp_path)
     batch = Path("batch")
     batch.mkdir()
     save_state(batch / "3x2.json", random_state((3, 2), seed=2))
     save_state(batch / "4x4.json", random_state((4, 4), seed=3))
+    save_state(batch / "8x8.json", random_state((8, 8), seed=4))
     (batch / "bad.json").write_text("{")
     write_doc(batch / "notpsd.json", [1.5, -0.5, 0.0, 0.0])
     write_doc(batch / 'q"\u00e9.json', [0.5, 0.0, 0.0, 0.5], corner=0.25)
@@ -653,9 +656,10 @@ def test_batch_report_nests_the_single_file_reports(tmp_path, monkeypatch, capsy
     failed = {item["input"] for item in items if item.get("error")}
     assert {"batch/bad.json", "batch/notpsd.json"} <= failed
     if cmd[-1] in ("correlated", "neumann"):  # pointer needs n_b = 2
-        product = as_matrix(items[1]["product"])
-        assert product.shape == (16, 16)
-        assert np.array_equal(product, product.conj().T)
+        for item, n in zip(items[1:3], (16, 64)):
+            product = as_matrix(item["product"])
+            assert product.shape == (n, n)
+            assert np.array_equal(product, product.conj().T)
     code, out, err = run(capsys, *cmd, str(batch))
     command = json.loads(out)["command"]
     assert command.endswith(" batch")
@@ -663,10 +667,12 @@ def test_batch_report_nests_the_single_file_reports(tmp_path, monkeypatch, capsy
         worst, dumps_canonical({"command": command, "items": items}), "")
 
 
-def test_batch_report_is_written_one_item_at_a_time(tmp_path, monkeypatch):
-    for name, diag in (("a", [0.25] * 4), ("b", [0.5, 0.5, 0.0, 0.0]),
-                       ("c", [0.5, 0.0, 0.0, 0.5])):
-        write_doc(tmp_path / f"{name}.json", diag)
+def test_batch_report_is_written_in_blocks(tmp_path, monkeypatch):
+    # three 4x4 states, each item with a 16x16 product: the report spans
+    # several blocks, and each reaches stdout as one write of at most
+    # io.DEFAULT_BUFFER_SIZE characters
+    for seed in range(3):
+        save_state(tmp_path / f"{seed}.json", random_state((4, 4), seed=seed))
     writes = []
 
     class Recorder:
@@ -679,8 +685,10 @@ def test_batch_report_is_written_one_item_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", Recorder())
     assert main(["disentangle", str(tmp_path)]) == 0
-    assert len(json.loads("".join(writes))["items"]) == 3
-    assert max(text.count('"input": ') for text in writes) == 1
+    text = "".join(writes)
+    assert len(json.loads(text)["items"]) == 3
+    assert len(writes) == -(-len(text) // io.DEFAULT_BUFFER_SIZE) > 2
+    assert max(map(len, writes)) == io.DEFAULT_BUFFER_SIZE
 
 
 @pytest.mark.parametrize("cmd", ["validate", "analyze", "disentangle"])

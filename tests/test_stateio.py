@@ -37,6 +37,7 @@ from qdisent.stateio import (
     _codes17,
     _screen_grid,
     _walk_grid,
+    copy_spool,
     spool_canonical,
     write_canonical,
 )
@@ -182,7 +183,7 @@ def test_texts17_prints_what_percent_17g_prints():
 
 
 def test_the_grid_kernel_loads_no_numpy_string_module():
-    # _texts17 builds its texts from code points, so neither importing the
+    # _codes17 builds its texts from code points, so neither importing the
     # command line nor rendering a large hermitian grid loads numpy's string
     # functions (np.char, np.strings), which would slow every command's start
     code = ("import sys, numpy as np\n"
@@ -265,47 +266,48 @@ def test_dumps_canonical_list_of_dicts_is_multiline():
     assert json.loads(text) == {"items": [{"i": 1}, {"i": 2}]}
 
 
-def test_rendered_text_nests_at_any_depth():
-    # the text of a document nested at pad p is its spooled top-level
-    # text with p after every newline; a newline inside a string stays
-    # escaped.  A spooled text may itself embed one read back from the
-    # same spool, and the next text still goes to the end
-    inner = {"s": "two\nlines", "rho": np.eye(2, dtype=complex),
-             "sub": {"items": [{"i": 1}, {}], "e": []}}
-    doc = {"command": "c", "items": [inner, {"j": None}],
-           "deep": {"x": [{"sub": inner}]}}
-    with tempfile.TemporaryFile() as spool:
-        first = spool_canonical(inner, spool)
-        nested = {"command": "c", "items": [first, {"j": None}],
-                  "deep": {"x": [spool_canonical({"sub": first}, spool)]}}
-        assert dumps_canonical(nested) == dumps_canonical(doc)
-        spool.seek(0)
-        assert spool.read() == dumps_canonical(inner).encode() + dumps_canonical(
-            {"sub": inner}).encode()
+def test_a_generator_renders_as_the_list_of_its_values():
+    # at any depth a generator of objects, as a batch's items are, renders
+    # to the same bytes as the list of its values: a newline inside a
+    # string stays escaped, a grid (a large hermitian one too) nests at
+    # its depth, and an empty generator renders as []
+    values = [{"s": "two\nlines", "rho": np.eye(2, dtype=complex)},
+              {"g": np.eye(_MIRROR_MIN_N + 3, dtype=complex) / 3,
+               "sub": {"items": [{"i": 1}, {}], "e": []}},
+              {}]
+
+    def doc(wrap):
+        return {"command": "c", "items": wrap(values), "none": wrap([]),
+                "deep": {"x": [{"sub": wrap(values)}, 1]}}
+
+    text = dumps_canonical(doc(lambda vs: (v for v in vs)))
+    assert text == dumps_canonical(doc(list))
+    assert '"s": "two\\nlines"' in text
+    assert '\n  "none": [],\n' in text
 
 
-class _Writes(list):
-    """A stream that keeps each write."""
+def test_a_generator_value_is_drawn_after_the_last_is_written():
+    writes, drawn = [], []
 
-    write = list.append
+    def values():
+        for i in range(3):
+            drawn.append("".join(writes))
+            yield {"i": i}
+
+    write_canonical({"items": values()}, writes.append)
+    text = "".join(writes)
+    assert text == dumps_canonical({"items": [{"i": i} for i in range(3)]})
+    # value i is drawn with the text up to the end of value i - 1 written,
+    # and nothing of what follows it
+    assert drawn[0] == '{\n  "items": '
+    for i, before in enumerate(drawn[1:], 1):
+        assert text.startswith(before)
+        assert before.count('"i": ') == i
+        assert before.endswith("}")
 
 
-def test_write_canonical_writes_the_text_or_nothing():
-    with tempfile.TemporaryFile() as spool:
-        doc = {"items": [spool_canonical({"i": i}, spool) for i in range(3)]}
-        writes = _Writes()
-        write_canonical(doc, writes)
-        assert "".join(writes) == dumps_canonical(doc)
-        assert [t.count('"i": ') for t in writes].count(1) == 3
-        writes.clear()
-        doc["items"].append({"v": np.nan})
-        with pytest.raises(StateFormatError, match="non-finite value nan"):
-            write_canonical(doc, writes)
-        assert writes == []
-
-
-class _FailingSpool(io.BytesIO):
-    """A spool whose ``fail`` method raises an I/O error."""
+class _FailingFile(io.StringIO):
+    """A text file whose ``fail`` method raises an I/O error."""
 
     def __init__(self, fail):
         super().__init__()
@@ -317,24 +319,46 @@ class _FailingSpool(io.BytesIO):
 
 @pytest.mark.parametrize("fail", ["write", "flush"])
 def test_a_spool_that_cannot_be_written_raises_at_once(fail):
-    # a text the spool could not take raises before any piece stands
-    # for it; one with no canonical text is never written
-    with _FailingSpool(fail) as spool:
+    # only the spool's own write and flush errors are spool errors: a
+    # value with no canonical text, or an I/O error raised while a
+    # generator makes its next value, raises as itself
+    drawn = []
+
+    def values():
+        drawn.append(1)
+        yield {"i": 1}
+
+    with _FailingFile(fail) as spool:
         with pytest.raises(StateFormatError, match=(
                 r"^cannot write the report spool: \[Errno 5\] Input/output error$")):
-            spool_canonical({"i": 1}, spool)
-    with tempfile.TemporaryFile() as spool:
-        with pytest.raises(StateFormatError, match="non-finite value nan"):
+            spool_canonical({"items": values()}, spool)
+    assert drawn == ([] if fail == "write" else [1])
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        with pytest.raises(StateFormatError, match="^non-finite value nan"):
             spool_canonical({"v": np.nan}, spool)
-        assert spool.tell() == 0
+
+        def unreadable():
+            yield {"i": 1}
+            raise OSError(errno.EIO, "Input/output error")
+
+        with pytest.raises(OSError) as info:
+            spool_canonical({"items": unreadable()}, spool)
+        assert type(info.value) is OSError
 
 
 def test_a_spool_that_cannot_be_read_raises_a_format_error():
-    with _FailingSpool("read") as spool:
-        doc = {"items": [spool_canonical({"i": 1}, spool)]}
+    with _FailingFile("read") as spool:
+        spool_canonical({"i": 1}, spool)
         with pytest.raises(StateFormatError, match=(
                 r"^cannot read the report spool: \[Errno 5\] Input/output error$")):
-            dumps_canonical(doc)
+            copy_spool(spool, io.StringIO())
+    # an error of the stream the text is copied to is not the spool's
+    with _FailingFile("write") as out, \
+            tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        spool_canonical({"i": 1}, spool)
+        with pytest.raises(OSError) as info:
+            copy_spool(spool, out)
+        assert type(info.value) is OSError
 
 
 def test_dumps_canonical_escapes_strings():
