@@ -81,6 +81,11 @@ BENCH2Q_MAX_CASES = 10000
 # adds one joint-size tensor product, about 20 ns per entry, so the cap
 # is about 2 s of term work (on a 2-core VM) at any dims
 GENERATE_MAX_WORK = 10**8
+# largest ``disentangle --max-iter``: the solver logs every sweep, about
+# 355 B and, at 2x2, 66 us each (2-core VM), so a state that never
+# converges stops at the cap after about a minute and 340 MiB of log; the
+# slowest noisy Bell state README names needs about 127,000 sweeps
+DISENTANGLE_MAX_ITER = 10**6
 
 _KIND_ALIASES = {
     "bell": "bell",
@@ -332,6 +337,7 @@ def cmd_disentangle(args) -> int:
     for name, value in (("--p", args.p), ("--b-re", args.b_re), ("--b-im", args.b_im)):
         _check_finite(value, name, value)
     _check_at_least(args.max_iter, 1, "--max-iter")
+    _check_at_most(args.max_iter, DISENTANGLE_MAX_ITER, "--max-iter")
     if not 0.0 <= args.damping < 1.0:
         raise _CliError(f"--damping must sit in [0, 1), got {args.damping}")
     _check_at_least(args.m, 1, "--m")
@@ -461,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partner-weight power for pointer/correlated methods")
     d.add_argument("--tol", type=float, default=1e-12,
                    help="solver convergence tolerance")
-    d.add_argument("--max-iter", type=int, default=10000)
+    d.add_argument("--max-iter", type=int, default=10000,
+                   help=f"solver sweeps, at most {DISENTANGLE_MAX_ITER}")
     d.add_argument("--damping", type=float, default=0.0,
                    help="blend factor toward the previous iterate")
     d.set_defaults(func=cmd_disentangle)

@@ -52,8 +52,8 @@ def format_real(x: float) -> str:
 # Smallest n whose hermitian n x n grid renders from its upper triangle,
 # formatted by _codes17, instead of from one %.17g template.  Timing
 # _render_matrix both ways on product states on a 2-core VM, the triangle
-# lost at n = 12 (1.09-1.10x), tied or won at 13 (0.94-0.99x) and won from
-# n = 14 (0.84-0.92x; 0.27x at n = 64).
+# lost at n = 12 (1.03-1.06x), tied at 13 (0.93-1.10x) and won from n = 14
+# (0.82-0.87x).
 _MIRROR_MIN_N = 13
 
 # 10**p == _POW10[p] + _POW10_LO[p] exactly for 0 <= p <= 45: 5**p < 2**106
@@ -67,34 +67,21 @@ _POW10_TAIL = _POW10 - _POW10_HEAD
 
 
 @functools.cache
-def _text_tables() -> tuple[np.ndarray, np.ndarray]:
-    """_codes17's two lookup tables, built on first use so that import stays cheap.
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_codes17's three lookup tables, built on first use so that import stays cheap.
 
-    The first holds the four digit codes of each of 0000 .. 9999.  The
-    second says where each character of a ``%.17g`` text comes from.  A
-    value's source row holds its 17 digit codes, then ``-``, ``.``,
-    ``0``, ``e``, the two digits of its exponent's magnitude and a NUL.
-    Row ``(neg * 6 + form) * 17 + s - 1`` of the table lists, for each
-    of the 24 characters of a text, its column in the source row, for
-    ``s`` significant digits and the form ``-k`` (k = 0 .. -4, fixed
-    point) or 5 (k < -4, exponent), k the decimal exponent.  NULs pad
-    the text to 24 codes.
+    The four digit codes of each of 0000 .. 9999; columns 0 - 5 of a
+    text, the sign and the ``0.`` .. ``0.000`` prefix, at row ``neg * 6
+    + form`` for the form ``-k`` (k = 0 .. -4, fixed point) or 5 (k <
+    -4, exponent), k the decimal exponent; and columns 24 - 27, ``e-05``
+    .. ``e-29`` at row ``-k``, NULs in the fixed-point rows 0 - 4.
     """
     digits4 = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-    minus, dot, zero, e, tens, ones, nul = range(17, 24)
-    layouts = []
-    for neg in (0, 1):
-        for form in range(6):
-            for s in range(1, 18):
-                text = [minus] if neg else []
-                if 1 <= form <= 4:  # 0.000ddd
-                    text += [zero, dot] + [zero] * (form - 1) + list(range(s))
-                else:  # d.ddd, then e-XX
-                    text += [0] + ([dot] + list(range(1, s)) if s > 1 else [])
-                    if form == 5:
-                        text += [e, minus, tens, ones]
-                layouts.append(text + [nul] * (24 - len(text)))
-    return np.ascontiguousarray(digits4), np.array(layouts, dtype=np.intp)
+    forms = (b"", b"0.", b"0.0", b"0.00", b"0.000", b"")
+    prefixes = b"".join(sign + form.ljust(5, b"\0") for sign in (b"\0", b"-") for form in forms)
+    exponents = bytes(20) + b"".join(b"e-%02d" % e for e in range(5, 30))
+    return (np.ascontiguousarray(digits4), np.frombuffer(prefixes, np.uint8).reshape(12, 6),
+            np.frombuffer(exponents, np.uint8).reshape(30, 4))
 
 
 def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,16 +124,19 @@ def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _codes17(values: np.ndarray) -> np.ndarray:
-    """``'%.17g' % x`` for every value of a finite float64 array, as rows of codes.
+    """``'%.17g' % x`` for every value of a finite float64 array, as rows of 28 codes.
 
-    Row i holds the ASCII codes of value i's text, then NULs up to 24
-    codes, the widest text (``-1.2345678901234567e-300``).  The digits
-    come from ``_round17``; a value it cannot prove gets the codes of
-    ``%.17g`` itself.
+    Row i holds value i's text in text order, in fixed columns with NUL
+    in those it does not use: 0 - 5 the sign and a ``0.`` .. ``0.000``
+    prefix, 6 the first digit, 7 the point, 8 - 23 the other 16 digits
+    (trailing zeros NUL), 24 - 27 ``e-XX``.  The digits come from
+    ``_round17``; a value it cannot prove keeps its sign column and gets
+    the ``%.17g`` text of its magnitude from column 1 on.
     """
     x = np.asarray(values, dtype=float)
     n = len(x)
     digits, k, ok = _round17(x)
+    digits4, prefixes, exponents = _text_tables()
     # the 17 digits, the leading one alone and the rest four at a time
     lead = digits // 10 ** 16
     low = digits - lead * 10 ** 16
@@ -155,22 +145,17 @@ def _codes17(values: np.ndarray) -> np.ndarray:
     groups[:, 3] = low - groups[:, 1] * 10 ** 8
     groups[:, ::2] = groups[:, 1::2] // 10 ** 4
     groups[:, 1::2] -= groups[:, ::2] * 10 ** 4
-    source = np.empty((n, 24), dtype=np.uint8)
-    source[:, 0] = 48 + lead
-    digits4, layouts = _text_tables()
-    source[:, 1:17] = np.take(digits4, groups, axis=0).reshape(n, 16)
-    source[:, 17:21] = (45, 46, 48, 101)  # - . 0 e
-    source[:, 21] = 48 + (-k) // 10
-    source[:, 22] = 48 + (-k) % 10
-    source[:, 23] = 0
-    s = 17 - np.argmax(source[:, 16::-1] != 48, axis=1)  # digits but trailing zeros
-    s[digits == 0] = 1  # a zero prints as "0"
-    form = np.where(k >= -4, -k, 5)
-    at = np.take(layouts, (np.signbit(x) * 6 + form) * 17 + s - 1, axis=0)
-    at += (24 * np.arange(n))[:, None]
-    codes = np.take(source, at)
-    texts = ["%.17g" % v for v in x[~ok].tolist()]
-    codes[~ok] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+    codes = np.empty((n, 28), dtype=np.uint8)
+    codes[:, :6] = np.take(prefixes, np.signbit(x) * 6 + np.where(k >= -4, -k, 5), axis=0)
+    codes[:, 6] = 48 + lead
+    rest = codes[:, 8:24]
+    rest[:] = np.take(digits4, groups, axis=0).reshape(n, 16)
+    trailing = np.logical_and.accumulate(rest[:, ::-1] == 48, axis=1)[:, ::-1]
+    np.copyto(rest, 0, where=trailing)
+    codes[:, 7] = np.where((rest[:, 0] != 0) & ((k == 0) | (k < -4)), ord("."), 0)
+    codes[:, 24:] = np.take(exponents, -k, axis=0)
+    texts = ["%.17g" % v for v in np.abs(x[~ok]).tolist()]
+    codes[~ok, 1:] = np.array(texts, dtype="S27").view(np.uint8).reshape(-1, 27)
     return codes
 
 
@@ -198,25 +183,18 @@ def _render_matrix(m: np.ndarray, write) -> None:
 
 @functools.cache
 def _grid_plan(n: int) -> tuple:
-    """``(mirror, skeleton, upper)``, read-only, for rendering a hermitian n x n grid.
+    """``(mirror, upper)``, read-only, for rendering a hermitian n x n grid.
 
     ``upper`` is ``np.triu_indices(n)``, the cells whose values are
     formatted, and ``mirror[i * n + j]`` is the place there of cell
-    (i, j) or of its mirror (j, i).  ``skeleton`` is the grid text's
-    codes but the values': ``[[``, then 57 a cell, ``[``, 24 NULs for
-    re, ``, ``, 25 NULs for the sign of im and |im|, and 5 codes that
-    close the cell, ``], `` and NULs, ``]], [`` at a row's end or
-    ``]]]`` and NULs at the grid's.
+    (i, j) or of its mirror (j, i).
     """
     upper = np.triu_indices(n)
     mirror = np.empty((n, n), dtype=np.intp)
     mirror[upper] = mirror.T[upper] = np.arange(len(upper[0]))
-    cell = b"[" + bytes(24) + b", " + bytes(25)
-    row = (cell + b"], \0\0") * (n - 1) + cell + b"]], ["
-    skeleton = np.frombuffer((b"[[" + row * n)[:-5] + b"]]]\0\0", np.uint8)
     for a in (mirror, *upper):
         a.flags.writeable = False
-    return mirror.ravel(), skeleton, upper
+    return mirror.ravel(), upper
 
 
 def _render_hermitian(c: np.ndarray, write) -> None:
@@ -226,20 +204,27 @@ def _render_hermitian(c: np.ndarray, write) -> None:
     the text of |im|, ``]``: ``%.17g`` of a negative value is ``-`` and
     the text of its magnitude.  Cell (j, i) below the diagonal shares re
     and |im| with (i, j), so only the triangle is formatted, by
-    ``_codes17``.  Every cell's codes go into a copy of the plan's
-    skeleton, and the buffer, without its NULs, is decoded once.
+    ``_codes17``.  Each grid cell takes 64 codes: ``[``, re's 28, ``, ``,
+    |im|'s 28, whose sign column takes the ``-``, and ``], `` or, at a
+    row's end, ``]], [``.  The grid's codes, without their NULs, are
+    decoded once.
     """
     n = len(c)
-    mirror, skeleton, upper = _grid_plan(n)
+    mirror, upper = _grid_plan(n)
     tri = c[upper]
     codes = _codes17(np.stack((tri.real + 0.0, np.abs(tri.imag)), axis=-1).ravel())
-    pairs = np.take(codes.reshape(-1, 48), mirror, axis=0)
-    buf = skeleton.copy()
-    cells = buf[2:].reshape(n * n, 57)
-    cells[:, 1:25] = pairs[:, :24]
-    cells[:, 28:52] = pairs[:, 24:]
-    cells[:, 27][(c.imag < 0).ravel()] = ord("-")
-    write(buf[buf != 0].tobytes().decode("ascii"))
+    upper_cells = np.empty((len(tri), 64), dtype=np.uint8)
+    upper_cells[:, 0], upper_cells[:, 29:31] = ord("["), list(b", ")
+    upper_cells[:, 1:29], upper_cells[:, 31:59] = codes[::2], codes[1::2]
+    upper_cells[:, 59:] = list(b"], \0\0")
+    text = bytearray(2 + 64 * n * n)
+    text[:2] = b"[["
+    cells = np.frombuffer(text, np.uint8, offset=2).reshape(n * n, 64)
+    np.take(upper_cells, mirror, axis=0, out=cells, mode="clip")  # "raise" would buffer out
+    cells[:, 31][(c.imag < 0).ravel()] = ord("-")
+    cells[n - 1::n, 59:] = list(b"]], [")
+    cells[-1, 59:] = list(b"]]]\0\0")
+    write(text.translate(None, b"\0").decode("ascii"))
 
 
 def _render(value, pad: str, write) -> None:

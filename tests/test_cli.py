@@ -155,6 +155,7 @@ def test_count_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("qdisent.cli.generate", refuse)
     monkeypatch.setattr("qdisent.cli.transcription_bench", refuse)
+    monkeypatch.setattr("qdisent.cli._run_batch", refuse)
     for argv, line in (
         (("generate", "separable", "--terms", "10001", "--out", "x.json"),
          "error: --terms 10001 exceeds the cap 10000\n"),
@@ -166,6 +167,10 @@ def test_count_caps_exit_3_before_any_work(tmp_path, monkeypatch, capsys):
           "--out", "x.json"),
          "error: --terms 10000 x (NA*NB)^2 = 10485760000 exceeds the work cap"
          " 100000000\n"),
+        (("disentangle", "--max-iter", "1000001", "missing.json"),
+         "error: --max-iter 1000001 exceeds the cap 1000000\n"),
+        (("disentangle", "--method", "correlated", "--max-iter", "100000000", "."),
+         "error: --max-iter 100000000 exceeds the cap 1000000\n"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", line)
