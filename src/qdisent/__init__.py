@@ -69,7 +69,6 @@ from .correlated import (
     CorrelatedMethod,
     CorrelatedPair,
     DisentanglementReport,
-    IterationRecord,
     NeumannMethod,
     NonConvergence,
     PointerMethod,

@@ -81,10 +81,11 @@ BENCH2Q_MAX_CASES = 10000
 # adds one joint-size tensor product, about 20 ns per entry, so the cap
 # is about 2 s of term work (on a 2-core VM) at any dims
 GENERATE_MAX_WORK = 10**8
-# largest ``disentangle --max-iter``: the solver logs every sweep, about
-# 355 B and, at 2x2, 66 us each (2-core VM), so a state that never
-# converges stops at the cap after about a minute and 340 MiB of log; the
-# slowest noisy Bell state README names needs about 127,000 sweeps
+# largest ``disentangle --max-iter``, a bound on time only, as the
+# solver's memory does not grow with the sweep count: a sweep takes
+# 60-110 us at 2x2 (2-core VM), so a state that never converges stops at
+# the cap after one to two minutes; the slowest noisy Bell state README
+# names needs about 127,000 sweeps
 DISENTANGLE_MAX_ITER = 10**6
 
 _KIND_ALIASES = {
@@ -289,18 +290,9 @@ def cmd_analyze(args) -> int:
 def _solver_doc(pair: CorrelatedPair | None):
     if pair is None:
         return None
-    log = pair.trace_log
-    return {
-        "iterations": pair.iterations,
-        "converged": pair.converged,
-        "residual_a": pair.residual_a,
-        "residual_b": pair.residual_b,
-        # the solver logs every sweep and runs at least one
-        "final_step_a": log[-1].step_a,
-        "final_step_b": log[-1].step_b,
-        "max_herm_defect": max(max(r.herm_defect_a, r.herm_defect_b) for r in log),
-        "min_eig_seen": min(min(r.min_eig_a, r.min_eig_b) for r in log),
-    }
+    return {name: getattr(pair, name) for name in (
+        "iterations", "converged", "residual_a", "residual_b",
+        "final_step_a", "final_step_b", "max_herm_defect", "min_eig_seen")}
 
 
 def _method_spec(args):

@@ -123,23 +123,15 @@ class SolverConfig:
     m_power: int = 1
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-sweep solver diagnostics."""
-
-    step_a: float
-    step_b: float
-    residual_a: float
-    residual_b: float
-    herm_defect_a: float
-    herm_defect_b: float
-    min_eig_a: float
-    min_eig_b: float
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelatedPair:
-    """Pair of factors plus convergence evidence."""
+    """Pair of factors plus convergence evidence.
+
+    ``final_step_a``/``final_step_b`` are the last sweep's steps;
+    ``max_herm_defect`` and ``min_eig_seen`` are the largest
+    hermiticity defect and the smallest eigenvalue over every sweep's
+    two half-steps (below zero means a half-step was clamped).
+    """
 
     rho_a: np.ndarray
     rho_b: np.ndarray
@@ -147,7 +139,10 @@ class CorrelatedPair:
     residual_b: float
     iterations: int
     converged: bool
-    trace_log: tuple[IterationRecord, ...]
+    final_step_a: float
+    final_step_b: float
+    max_herm_defect: float
+    min_eig_seen: float
 
     def __post_init__(self):
         for name in ("rho_a", "rho_b"):
@@ -174,10 +169,10 @@ def fixed_point_solve(state: BipartiteState,
     The iteration starts from the two partial traces, the uncorrelated
     (von Neumann) pair.  Convergence is declared when both
     successive-iterate Frobenius steps drop below ``config.tol``; the
-    residuals of the coupled equations are tracked separately in the
-    trace log, one record per sweep.  Runs out of sweeps: raises
-    NonConvergence with the best iterate (smallest max residual)
-    attached.
+    residuals of the coupled equations are tracked separately.  Runs
+    out of sweeps: raises NonConvergence with the best iterate
+    (smallest max residual) attached, its steps, defect and eigenvalue
+    summary taken over all sweeps as on the converged path.
     """
     cfg = config if config is not None else SolverConfig()
     _check_config(cfg)
@@ -186,7 +181,7 @@ def fixed_point_solve(state: BipartiteState,
     k = int(cfg.m_power)
     d = float(cfg.damping)
 
-    records: list[IterationRecord] = []
+    herm, low = 0.0, np.inf
     best = None
     best_score = np.inf
     # F_A at the current rho_b, carried across sweeps so the residual
@@ -210,20 +205,20 @@ def fixed_point_solve(state: BipartiteState,
             state.rho, state.dims, _power(rho_b, k), "A", guard)
         res_a = _frobenius(rho_a - raw_a)
 
-        records.append(IterationRecord(step_a, step_b, res_a, res_b,
-                                       defect_a, defect_b, min_a, min_b))
+        herm = max(herm, defect_a, defect_b)
+        low = min(low, min_a, min_b)
         score = max(res_a, res_b)
         if score < best_score:
             best_score = score
             best = (rho_a, rho_b, res_a, res_b, it)
         if step_a < cfg.tol and step_b < cfg.tol:
             return CorrelatedPair(rho_a, rho_b, res_a, res_b, it, True,
-                                  tuple(records))
+                                  step_a, step_b, herm, low)
         defect_a, min_a = next_defect_a, next_min_a
 
     ba, bb, ra, rb, bit = best
     payload = CorrelatedPair(ba, bb, ra, rb, int(cfg.max_iter), False,
-                             tuple(records))
+                             step_a, step_b, herm, low)
     raise NonConvergence(
         f"no convergence after {cfg.max_iter} sweeps; best residuals "
         f"({ra:.3e}, {rb:.3e}) at sweep {bit}",

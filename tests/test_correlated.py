@@ -1,16 +1,19 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qdisent.core import (
+    DEFAULT_TOL,
     BipartiteState,
     DimensionMismatch,
     InvalidPointer,
     InvalidSpec,
     NotPSDResult,
     ZeroDenominator,
+    partial_trace,
     product_state,
 )
 from qdisent.correlated import (
@@ -39,6 +42,7 @@ from qdisent.states import (
     random_state,
     separable_mixture,
 )
+from test_cli import _noisy_bell
 
 
 def test_maximally_mixed_pointer_recovers_plain_reduction():
@@ -196,13 +200,11 @@ def test_bell_is_stationary_at_the_mixed_pair():
     assert np.abs(pair.rho_b - np.eye(2) / 2).max() < 1e-15
 
 
-def test_solver_trace_log_and_certificate():
+def test_solver_summary_and_certificate():
     state = random_state((2, 2), seed=5)
     pair = fixed_point_solve(state)
     assert pair.converged
-    assert len(pair.trace_log) == pair.iterations
-    last = pair.trace_log[-1]
-    assert last.step_a < 1e-12 and last.step_b < 1e-12
+    assert pair.final_step_a < 1e-12 and pair.final_step_b < 1e-12
     res_a, res_b = fixed_point_residuals(state, pair.rho_a, pair.rho_b)
     assert max(res_a, res_b) <= 10e-12
 
@@ -223,10 +225,53 @@ def test_non_convergence_carries_best_iterate():
     best = err.value.best
     assert not best.converged
     assert best.iterations == 1
-    assert len(best.trace_log) == 1
     # the attached pair is still a usable (normalized, PSD) candidate
     assert abs(np.trace(best.rho_a).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(best.rho_b)[0] > -1e-12
+
+
+def test_solver_summary_spans_every_sweep():
+    # a pure 2x3 state: rho_B has a zero eigenvalue, which two of the
+    # first three B half-steps round below zero and clamp; the largest
+    # defect and the smallest eigenvalue both come before the last sweep
+    psi = random_ket(6, 12)
+    state = BipartiteState(np.outer(psi, psi.conj()), (2, 3))
+    rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
+    defects, eigs = [], []
+    for _ in range(3):
+        new_a, defect_a, min_a = _weighted_reduction(
+            state.rho, state.dims, rho_b, "A", DEFAULT_TOL)
+        new_b, defect_b, min_b = _weighted_reduction(
+            state.rho, state.dims, new_a, "B", DEFAULT_TOL)
+        steps = np.linalg.norm(new_a - rho_a), np.linalg.norm(new_b - rho_b)
+        defects += [defect_a, defect_b]
+        eigs += [min_a, min_b]
+        rho_a, rho_b = new_a, new_b
+    with pytest.raises(NonConvergence) as err:
+        fixed_point_solve(state, SolverConfig(max_iter=3))
+    best = err.value.best
+    assert best.min_eig_seen < 0.0
+    assert (best.final_step_a, best.final_step_b) == steps
+    assert best.max_herm_defect == max(defects) > max(defects[-2:])
+    assert best.min_eig_seen == min(eigs) < min(eigs[-2:])
+
+
+def _solve_peak_kib(state, sweeps):
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergence):
+            fixed_point_solve(state, SolverConfig(max_iter=sweeps))
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_solver_memory_does_not_grow_with_the_sweep_count():
+    # the eps = 1e-4 noisy Bell state needs about 127,000 sweeps, so
+    # both solves run out of sweeps and spend every one of them
+    state = BipartiteState(_noisy_bell(1e-4), (2, 2))
+    short, long = (_solve_peak_kib(state, sweeps) for sweeps in (2000, 4000))
+    assert long <= short + 8.0, f"peak {short:.1f} KiB -> {long:.1f} KiB"
 
 
 def test_report_runs_all_methods():
