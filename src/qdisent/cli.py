@@ -49,14 +49,13 @@ from .reductions import neumann_reduce
 from .states import GenSpec, generate
 from .stateio import (
     StateFormatError,
-    copy_spool,
     doc_to_matrix,
     dumps_canonical,
     file_digest,
     format_real,
     load_document,
     save_state,
-    spool_canonical,
+    write_canonical,
 )
 from .twoqubit import BENCH_GATE, transcription_bench
 
@@ -180,15 +179,26 @@ def _run_item(item_fn, path: str) -> tuple[dict, int]:
     return item, code
 
 
+def _spool_call(verb: str, call, *args):
+    """``call(*args)``; an OSError raises as ``cannot <verb> the report spool``."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise StateFormatError(f"cannot {verb} the report spool: {exc}") from exc
+
+
 def _run_batch(echo: str, path: str, item_fn) -> int:
     """Run ``item_fn`` per file under ``path``; emit one report, return the worst code.
 
-    A batch report renders straight into a spool, an unnamed temporary
-    text file: its ``items`` value is a generator that runs each file's
-    item only once the previous item's text is written, and no item's
-    text is joined into one string.  The spool is then copied to stdout
-    in blocks.  A render error is no item's and, like a spool that
-    cannot be created or written, leaves before any output.
+    A batch report's spool, an unnamed temporary text file, lives its
+    whole life here: created, written, read and closed.  The report
+    renders straight into it; its ``items`` value is a generator that
+    runs each file's item only once the previous item's text is
+    written, so no item's text is joined into one string.  The spool is
+    then copied to stdout in io.DEFAULT_BUFFER_SIZE blocks.  Only the
+    spool's own errors raise as a StateFormatError; an item's pass
+    through as themselves.  A render error is no item's and, like a
+    spool that fails, leaves before any output.
 
     The cyclic collector is paused throughout: a parsed state file is a
     tree of thousands of lists that cannot hold a cycle, yet building
@@ -215,9 +225,21 @@ def _run_batch(echo: str, path: str, item_fn) -> int:
                 codes.append(code)
                 yield item
 
-        with spool:
-            spool_canonical({"command": echo, "items": items()}, spool)
-            _report(functools.partial(copy_spool, spool))
+        def copy(out):
+            _spool_call("read", spool.seek, 0)
+            while block := _spool_call("read", spool.read, io.DEFAULT_BUFFER_SIZE):
+                out.write(block)
+
+        try:
+            write_canonical({"command": echo, "items": items()},
+                            functools.partial(_spool_call, "write", spool.write))
+            _spool_call("write", spool.flush)
+            _report(copy)
+        finally:
+            # a spool whose write failed still holds that text, and its
+            # close would fail on it again in place of the first error
+            with contextlib.suppress(OSError):
+                spool.close()
         return max(codes)
     finally:
         if enabled:

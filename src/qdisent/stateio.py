@@ -10,9 +10,6 @@ float prints with up to 17 significant digits and both zeros print as
 which makes file digests meaningful.
 
 The text goes out through a ``write`` callable (``write_canonical``).
-A report too large to hold renders straight into a spool, a temporary
-text file (``spool_canonical``), its generator's values made one at a
-time, and is then copied out in blocks (``copy_spool``).
 
 Structural problems raise StateFormatError; whether a well-formed grid
 is a density matrix is left to ``BipartiteState``.
@@ -300,37 +297,6 @@ def dumps_canonical(doc: dict) -> str:
     parts: list = []
     write_canonical(doc, parts.append)
     return "".join(parts)
-
-
-def _spool_call(verb: str, call, *args):
-    """``call(*args)``; an OSError raises as ``cannot <verb> the report spool``."""
-    try:
-        return call(*args)
-    except OSError as exc:
-        raise StateFormatError(f"cannot {verb} the report spool: {exc}") from exc
-
-
-def spool_canonical(doc: dict, spool) -> None:
-    """Write the canonical text of ``doc`` into ``spool``, a text file, and flush it.
-
-    Only the spool's own write and flush errors raise as a
-    StateFormatError; whatever a generator in ``doc`` raises passes
-    through unchanged.
-    """
-    write_canonical(doc, functools.partial(_spool_call, "write", spool.write))
-    _spool_call("write", spool.flush)
-
-
-def copy_spool(spool, out) -> None:
-    """Copy the text of ``spool`` to ``out`` from its start, in io.DEFAULT_BUFFER_SIZE blocks.
-
-    Only the spool's own errors raise as a StateFormatError; those of
-    ``out`` pass through unchanged.
-    """
-    _spool_call("read", spool.seek, 0)
-    read = functools.partial(_spool_call, "read", spool.read, io.DEFAULT_BUFFER_SIZE)
-    while block := read():
-        out.write(block)
 
 
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdisent import file_digest
+from qdisent import cli, file_digest
 from qdisent.cli import build_parser, main
 from qdisent.correlated import disentanglement_report
 from qdisent.stateio import dumps_canonical, save_state
@@ -1005,22 +1005,32 @@ def test_a_batch_leaves_no_cycles(tmp_path, capsys, cmd):
 
 
 def _failing_spool(monkeypatch, fails):
-    """Make the report spool fail as a full disk does, on create or on write.
+    """Make the report spool fail on ``create`` or on one of its own methods.
 
-    Returns the spools made.
+    ``fails`` is ``create``, ``write`` or ``flush`` (a full disk),
+    ``seek`` or ``read`` (an I/O error), or None (no failure).  Like a
+    file's, the spool's ``close`` flushes it first.  Returns the spools
+    made.
     """
     made = []
+    code = errno.EIO if fails in ("seek", "read") else errno.ENOSPC
 
-    def full(*args, **kwargs):
-        raise OSError(errno.ENOSPC, "No space left on device")
+    def fail(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
 
-    class FullSpool(io.BytesIO):
-        write = full
+    class Spool(io.StringIO):
+        def close(self):
+            try:
+                self.flush()
+            finally:
+                super().close()
 
     def create(*args, **kwargs):
         if fails == "create":
-            full()
-        made.append(FullSpool())
+            fail()
+        made.append(Spool())
+        if fails is not None:
+            setattr(made[-1], fails, fail)
         return made[-1]
 
     monkeypatch.setattr(tempfile, "TemporaryFile", create)
@@ -1031,7 +1041,28 @@ SPOOL_ERRORS = {
     "create": "error: cannot create the report spool: [Errno 28] No space left on device\n",
     "write": "error: StateFormatError: cannot write the report spool:"
              " [Errno 28] No space left on device\n",
+    "flush": "error: StateFormatError: cannot write the report spool:"
+             " [Errno 28] No space left on device\n",
+    "seek": "error: StateFormatError: cannot read the report spool:"
+            " [Errno 5] Input/output error\n",
+    "read": "error: StateFormatError: cannot read the report spool:"
+            " [Errno 5] Input/output error\n",
 }
+
+
+def _count_loads(monkeypatch, fail_at=None):
+    """Count the files ``main`` loads; the load number ``fail_at`` raises a bare OSError."""
+    loaded = []
+    load = cli.load_document
+
+    def counted(path):
+        loaded.append(path)
+        if len(loaded) == fail_at:
+            raise OSError(errno.EIO, "Input/output error")
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_document", counted)
+    return loaded
 
 
 @pytest.mark.parametrize("fails", SPOOL_ERRORS)
@@ -1039,11 +1070,46 @@ def test_a_spool_failure_exits_3_with_nothing_on_stdout(tmp_path, monkeypatch, c
                                                          fails):
     batch = _two_file_batch(tmp_path)
     spools = _failing_spool(monkeypatch, fails)
+    loaded = _count_loads(monkeypatch)
     assert run(capsys, "disentangle", str(batch)) == (3, "", SPOOL_ERRORS[fails])
-    assert [spool.closed for spool in spools] == ([True] if fails == "write" else [])
+    assert [spool.closed for spool in spools] == ([] if fails == "create" else [True])
+    # a spool that cannot take the report's first text runs no item
+    assert len(loaded) == (0 if fails in ("create", "write") else 2)
     # a single file opens no spool
     assert run(capsys, "disentangle", str(batch / "a.json"))[0] == 0
-    assert len(spools) == (fails == "write")
+    assert len(spools) == (fails != "create")
+
+
+def test_an_items_own_os_error_is_no_spool_error(tmp_path, monkeypatch, capsys):
+    # only the spool's own calls map an OSError to a spool error: one
+    # raised while an item runs leaves ``main`` as itself
+    batch = _two_file_batch(tmp_path)
+    spools = _failing_spool(monkeypatch, None)
+    _count_loads(monkeypatch, fail_at=2)
+    with pytest.raises(OSError) as info:
+        main(["disentangle", str(batch)])
+    assert type(info.value) is OSError
+    assert str(info.value) == "[Errno 5] Input/output error"
+    assert [spool.closed for spool in spools] == [True]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_spool_on_a_full_device_exits_3_without_a_traceback(tmp_path, monkeypatch,
+                                                               capsys):
+    # a real file that failed a write fails its close too; that second
+    # error must not replace the first
+    batch = _two_file_batch(tmp_path)
+    save_state(batch / "c.json", random_state((4, 4), seed=1))
+    spools = []
+
+    def create(*args, **kwargs):
+        spools.append(open("/dev/full", "w+", encoding="utf-8"))
+        return spools[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", create)
+    assert run(capsys, "disentangle", str(batch)) == (3, "", SPOOL_ERRORS["write"])
+    assert [spool.closed for spool in spools] == [True]
 
 
 class _Discard:

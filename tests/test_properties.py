@@ -1,8 +1,10 @@
 """Properties over random dims 2..5, and fuzzes of every numeric CLI flag and of state files."""
 
+import importlib.util
 import io
 import itertools
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,6 +19,7 @@ from qdisent.core import BipartiteState, partial_trace, product_state
 from qdisent.correlated import (
     CorrelatedMethod,
     NeumannMethod,
+    correlated_local_state,
     disentanglement_report,
     fixed_point_residuals,
     fixed_point_solve,
@@ -28,6 +31,20 @@ from qdisent.states import random_density, random_ket, random_state, separable_m
 
 DIMS = st.tuples(st.integers(2, 5), st.integers(2, 5))
 SEEDS = st.integers(0, 2**32 - 1)
+QDBENCH = Path(__file__).resolve().parents[1] / "qdbench"
+
+
+def _load_qdbench(name):
+    spec = importlib.util.spec_from_file_location(f"qdbench_{name}", QDBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # corpus.py's dataclass looks its module up while it is being built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+corpus = _load_qdbench("corpus")
+oracle = _load_qdbench("oracle")
 
 
 @settings(max_examples=25, deadline=None)
@@ -39,6 +56,18 @@ def test_partial_trace_of_a_product_returns_its_factors(dims, seed):
     state = product_state(a, b)
     assert np.abs(partial_trace(state, over="B") - a).max() < 1e-12
     assert np.abs(partial_trace(state, over="A") - b).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(DIMS, SEEDS)
+def test_identity_pointer_reduction_is_the_partial_trace(dims, seed):
+    # acceptance criterion 1 at every dims pair, both sides, m = 1, 2, 3
+    state = random_state(dims, seed)
+    for side, partner, over in (("A", state.n_b, "B"), ("B", state.n_a, "A")):
+        red = partial_trace(state, over=over)
+        for m in (1, 2, 3):
+            got = correlated_local_state(state, np.eye(partner) / partner, side=side, m=m)
+            assert np.abs(got - red).max() <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -445,3 +474,29 @@ def test_near_tolerance_edits_split_validate_from_the_other_commands(tmp_path):
             if "validate" not in rejected:
                 split.update((i, j, part, mirrored, offset, *r) for r in rejected.items())
     assert splits == VALID_BUT_REJECTED
+
+
+BENCH_FAMILIES = ("random", "random_rank4", "separable", "pure_product", "near_pure_0.01")
+
+
+@settings(max_examples=50, deadline=None)
+@given(DIMS, SEEDS, st.sampled_from(BENCH_FAMILIES))
+# joint dims that are not a multiple of 4 take the lifted branch of
+# core._ptrace's weighted trace
+@example((2, 3), 0, "random")
+@example((3, 2), 0, "random")
+@example((3, 5), 0, "random")
+def test_the_bench_oracle_accepts_every_report_at_any_dims(dims, seed, family):
+    # the bench corpus and oracle, both free of qdisent, at the
+    # non-square dims the bench's own corpus never draws
+    rho = corpus.draw(family, dims, np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(corpus.render(dims, corpus.cell_rows(rho)), encoding="utf-8")
+        for cmd in (("validate",), ("analyze",), ("disentangle", "--method", "correlated")):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*cmd, str(path)])
+            assert err.getvalue() == "", (cmd, err.getvalue())
+            text = out.getvalue()
+            assert oracle.check(cmd[0], rho, dims, 0, family, text, code) == [], cmd

@@ -1,14 +1,11 @@
 """Round-trip and format checks for the JSON state files."""
 
-import errno
 import hashlib
-import io
 import json
 import math
 import os
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -38,8 +35,6 @@ from qdisent.stateio import (
     _round17,
     _screen_grid,
     _walk_grid,
-    copy_spool,
-    spool_canonical,
     write_canonical,
 )
 
@@ -347,61 +342,6 @@ def test_a_generator_value_is_drawn_after_the_last_is_written():
         assert text.startswith(before)
         assert before.count('"i": ') == i
         assert before.endswith("}")
-
-
-class _FailingFile(io.StringIO):
-    """A text file whose ``fail`` method raises an I/O error."""
-
-    def __init__(self, fail):
-        super().__init__()
-        setattr(self, fail, self._full)
-
-    def _full(self, *args):
-        raise OSError(errno.EIO, "Input/output error")
-
-
-@pytest.mark.parametrize("fail", ["write", "flush"])
-def test_a_spool_that_cannot_be_written_raises_at_once(fail):
-    # only the spool's own write and flush errors are spool errors: a
-    # value with no canonical text, or an I/O error raised while a
-    # generator makes its next value, raises as itself
-    drawn = []
-
-    def values():
-        drawn.append(1)
-        yield {"i": 1}
-
-    with _FailingFile(fail) as spool:
-        with pytest.raises(StateFormatError, match=(
-                r"^cannot write the report spool: \[Errno 5\] Input/output error$")):
-            spool_canonical({"items": values()}, spool)
-    assert drawn == ([] if fail == "write" else [1])
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        with pytest.raises(StateFormatError, match="^non-finite value nan"):
-            spool_canonical({"v": np.nan}, spool)
-
-        def unreadable():
-            yield {"i": 1}
-            raise OSError(errno.EIO, "Input/output error")
-
-        with pytest.raises(OSError) as info:
-            spool_canonical({"items": unreadable()}, spool)
-        assert type(info.value) is OSError
-
-
-def test_a_spool_that_cannot_be_read_raises_a_format_error():
-    with _FailingFile("read") as spool:
-        spool_canonical({"i": 1}, spool)
-        with pytest.raises(StateFormatError, match=(
-                r"^cannot read the report spool: \[Errno 5\] Input/output error$")):
-            copy_spool(spool, io.StringIO())
-    # an error of the stream the text is copied to is not the spool's
-    with _FailingFile("write") as out, \
-            tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
-        spool_canonical({"i": 1}, spool)
-        with pytest.raises(OSError) as info:
-            copy_spool(spool, out)
-        assert type(info.value) is OSError
 
 
 def test_dumps_canonical_escapes_strings():
