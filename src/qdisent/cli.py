@@ -46,7 +46,7 @@ from .correlated import (
 )
 from .criteria import separability_verdict
 from .reductions import neumann_reduce
-from .states import GenSpec, generate
+from .states import GENERATOR_KINDS, GenSpec, generate
 from .stateio import (
     StateFormatError,
     doc_to_matrix,
@@ -87,15 +87,10 @@ GENERATE_MAX_WORK = 10**8
 # names needs about 127,000 sweeps
 DISENTANGLE_MAX_ITER = 10**6
 
-_KIND_ALIASES = {
-    "bell": "bell",
+_KIND_ALIASES = {kind: kind for kind in GENERATOR_KINDS} | {
     "product": "pure_product",
-    "pure_product": "pure_product",
     "separable": "separable_mixture",
-    "separable_mixture": "separable_mixture",
     "mixed": "maximally_mixed",
-    "maximally_mixed": "maximally_mixed",
-    "random": "random",
 }
 
 

@@ -264,24 +264,25 @@ def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str,
     outside a full group of 4 columns, so the weight is zero-padded to a
     multiple of 4 columns, and a joint dimension that is not a multiple
     of 4, whose lifted product has a partial group, keeps that product.
+
+    The side only picks the axes: ``m``'s 4-index view ``(a, b, c, d)``
+    keeps that order over B and swaps its last two axes over A, so the
+    contracted index is always last and the one block matmul sees its
+    rows in ``(a, b, c)`` or ``(a, b, d)`` order.
     """
     if over not in ("A", "B"):
         raise ValueError(f"over must be 'A' or 'B', got {over!r}")
-    if weight is None:
-        r = m.reshape(n_a, n_b, n_a, n_b)
-    elif (n_a * n_b) % 4:
-        r = (m @ embed_local(weight, over, (n_a, n_b))).reshape(n_a, n_b, n_a, n_b)
-    else:
+    if weight is not None and (n_a * n_b) % 4:
+        m, weight = m @ embed_local(weight, over, (n_a, n_b)), None
+    r = m.reshape(n_a, n_b, n_a, n_b)
+    if over == "A":
+        r = r.transpose(0, 1, 3, 2)
+    if weight is not None:
         k = weight.shape[0]
         padded = np.zeros((k, -(-k // 4) * 4), dtype=complex)
         padded[:, :k] = weight
-        if over == "B":
-            r = (m.reshape(-1, k) @ padded).reshape(n_a, n_b, n_a, -1)[..., :k]
-        else:
-            cols = m.reshape(n_a, n_b, n_a, n_b).transpose(0, 1, 3, 2).copy()
-            r = (cols.reshape(-1, k) @ padded).reshape(n_a, n_b, n_b, -1)
-            r = r[..., :k].transpose(0, 1, 3, 2)
-    return np.einsum("abcb->ac", r) if over == "B" else np.einsum("abad->bd", r)
+        r = (r.reshape(-1, k) @ padded).reshape(*r.shape[:3], -1)[..., :k]
+    return np.einsum("abcb->ac" if over == "B" else "abda->bd", r)
 
 
 def partial_trace(state: BipartiteState, over: str = "B") -> np.ndarray:

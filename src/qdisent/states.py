@@ -23,15 +23,6 @@ from .core import (
     tensor_product,
 )
 
-GENERATOR_KINDS = (
-    "bell",
-    "pure_product",
-    "separable_mixture",
-    "maximally_mixed",
-    "random",
-)
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """Recipe for one generated matrix."""
@@ -149,19 +140,26 @@ def coherent_pointer(p: float, b: complex = 0j, tol: float = DEFAULT_TOL) -> np.
     return np.array([[p, b], [b.conjugate(), 1.0 - p]], dtype=complex)
 
 
+def _bell(spec: GenSpec, tol: float) -> BipartiteState:
+    n_a, n_b = _check_dims(spec.dims)
+    if (n_a, n_b) != (2, 2):
+        raise InvalidSpec(f"bell requires dims (2, 2), got ({n_a}, {n_b})")
+    return bell_state(tol)
+
+
+_GENERATORS = {
+    "bell": _bell,
+    "pure_product": lambda spec, tol: pure_product(spec.dims, spec.seed, tol),
+    "separable_mixture": lambda spec, tol: separable_mixture(
+        spec.dims, spec.seed, spec.k_terms, tol),
+    "maximally_mixed": lambda spec, tol: maximally_mixed(spec.dims, tol),
+    "random": lambda spec, tol: random_state(spec.dims, spec.seed, tol),
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
+
+
 def generate(spec: GenSpec, tol: float = DEFAULT_TOL) -> BipartiteState:
     """Dispatch on ``spec.kind``, one of GENERATOR_KINDS."""
-    if spec.kind == "bell":
-        n_a, n_b = _check_dims(spec.dims)
-        if (n_a, n_b) != (2, 2):
-            raise InvalidSpec(f"bell requires dims (2, 2), got ({n_a}, {n_b})")
-        return bell_state(tol)
-    if spec.kind == "pure_product":
-        return pure_product(spec.dims, spec.seed, tol)
-    if spec.kind == "separable_mixture":
-        return separable_mixture(spec.dims, spec.seed, spec.k_terms, tol)
-    if spec.kind == "maximally_mixed":
-        return maximally_mixed(spec.dims, tol)
-    if spec.kind == "random":
-        return random_state(spec.dims, spec.seed, tol)
-    raise InvalidSpec(f"unknown kind {spec.kind!r}, expected one of {GENERATOR_KINDS}")
+    if spec.kind not in GENERATOR_KINDS:
+        raise InvalidSpec(f"unknown kind {spec.kind!r}, expected one of {GENERATOR_KINDS}")
+    return _GENERATORS[spec.kind](spec, tol)

@@ -1,5 +1,6 @@
 """End-to-end checks of the qdisent command line."""
 
+import argparse
 import builtins
 import dataclasses
 import errno
@@ -21,7 +22,7 @@ from qdisent import cli, file_digest
 from qdisent.cli import build_parser, main
 from qdisent.correlated import disentanglement_report
 from qdisent.stateio import dumps_canonical, save_state
-from qdisent.states import random_state
+from qdisent.states import GENERATOR_KINDS, random_state
 from test_properties import top_kronecker_pair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,6 +122,26 @@ def test_generate_resolves_aliases(tmp_path, monkeypatch, capsys):
     assert doc["command"].startswith("generate pure_product ")
     meta = json.loads((tmp_path / "p.json").read_text())["meta"]
     assert meta == {"kind": "pure_product", "dims": "2x2", "seed": "2"}
+
+
+@pytest.mark.parametrize("alias, kind", [("product", "pure_product"),
+                                         ("separable", "separable_mixture"),
+                                         ("mixed", "maximally_mixed")])
+def test_a_short_name_writes_its_full_names_file(tmp_path, monkeypatch, capsys, alias, kind):
+    monkeypatch.chdir(tmp_path)
+    code, short, _ = run_json(capsys, "generate", alias, "--seed", "3", "--out", "short.json")
+    code2, full, _ = run_json(capsys, "generate", kind, "--seed", "3", "--out", "full.json")
+    assert code == code2 == 0
+    assert (tmp_path / "short.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+    assert short["digest"] == full["digest"]
+    assert short["command"].replace("short.json", "full.json") == full["command"]
+
+
+def test_generate_offers_every_kind_and_three_short_names():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["generate"]._actions if a.dest == "kind")
+    assert kind.choices == sorted(GENERATOR_KINDS + ("product", "separable", "mixed"))
 
 
 def test_generate_bell_needs_two_qubits(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdisent.cli import main
-from qdisent.core import BipartiteState, partial_trace, product_state
+from qdisent.core import BipartiteState, partial_trace, product_state, tensor_product
 from qdisent.correlated import (
     CorrelatedMethod,
     NeumannMethod,
@@ -24,10 +24,24 @@ from qdisent.correlated import (
     fixed_point_residuals,
     fixed_point_solve,
 )
-from qdisent.criteria import ppt_test, reduction_criterion_test
+from qdisent.criteria import (
+    correlation_gap,
+    ppt_test,
+    reduction_criterion_test,
+    subadditivity_check,
+    von_neumann_entropy,
+    witness_expectation,
+)
 from qdisent.reductions import averaged_projective_state, validate_outcome_probs
 from qdisent.stateio import save_state
-from qdisent.states import random_density, random_ket, random_state, separable_mixture
+from qdisent.states import (
+    pure_product,
+    random_density,
+    random_ket,
+    random_state,
+    random_unitary,
+    separable_mixture,
+)
 
 DIMS = st.tuples(st.integers(2, 5), st.integers(2, 5))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -141,6 +155,85 @@ def test_separable_mixtures_pass_ppt_and_reduction(dims, seed, terms):
     state = separable_mixture(dims, seed, k_terms=terms)
     assert ppt_test(state).passed
     assert reduction_criterion_test(state, mode="standard").passed
+
+
+def _phi(d):
+    """The maximally entangled ket sum_i |ii> / sqrt(d)."""
+    return np.eye(d).reshape(d * d) / np.sqrt(d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.floats(0.0, 1.0))
+def test_ppt_implies_the_reduction_criterion_on_isotropic_states(d, fidelity):
+    # M. & P. Horodecki (PRA 59, 4206, 1999).  On the isotropic family
+    # F|phi><phi| + (1 - F)(I - |phi><phi|)/(d^2 - 1) both criteria
+    # pass exactly when F <= 1/d; draw clear of the tol band there.  The
+    # separable half is the property above
+    assume(abs(fidelity - 1.0 / d) >= 0.02)
+    proj = np.outer(_phi(d), _phi(d))
+    rho = fidelity * proj + (1.0 - fidelity) * (np.eye(d * d) - proj) / (d * d - 1)
+    state = BipartiteState(rho, (d, d))
+    ppt = ppt_test(state).passed
+    assert ppt == reduction_criterion_test(state, mode="standard").passed
+    assert ppt == (fidelity < 1.0 / d)
+
+
+def _entropy_state(dims, rng, kind):
+    """A full-rank, a pure (Araki-Lieb tight) or a product (subadditivity tight) state."""
+    if kind == "product":
+        return product_state(random_density(dims[0], rng), random_density(dims[1], rng))
+    n = dims[0] * dims[1]
+    return BipartiteState(_density_of_rank(n, n if kind == "full" else 1, rng), dims)
+
+
+ENTROPY_KINDS = st.sampled_from(["full", "pure", "product"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(DIMS, SEEDS, ENTROPY_KINDS)
+def test_entropy_is_invariant_under_local_unitaries(dims, seed, kind):
+    rng = np.random.default_rng(seed)
+    state = _entropy_state(dims, rng, kind)
+    u = tensor_product(random_unitary(dims[0], rng), random_unitary(dims[1], rng))
+    moved = BipartiteState(u @ state.rho @ u.conj().T, dims)
+    for over in (None, "A", "B"):
+        s0, s1 = (von_neumann_entropy(s.rho if over is None else partial_trace(s, over))
+                  for s in (state, moved))
+        assert abs(s0 - s1) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(DIMS, SEEDS, ENTROPY_KINDS)
+def test_entropy_is_subadditive_and_obeys_araki_lieb(dims, seed, kind):
+    res = subadditivity_check(_entropy_state(dims, np.random.default_rng(seed), kind))
+    assert res.subadditive and res.araki_lieb
+
+
+def _local_observable(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), SEEDS, st.integers(1, 8))
+def test_maximally_entangled_witness_is_non_negative_on_separable_mixtures(d, seed, terms):
+    # criterion 9 at d x d: <phi|rho|phi> <= 1/d on every separable rho,
+    # and |phi><phi| itself reaches 1/d - 1
+    proj = np.outer(_phi(d), _phi(d))
+    witness = np.eye(d * d) / d - proj
+    assert witness_expectation(separable_mixture((d, d), seed, k_terms=terms), witness) >= -1e-10
+    at_phi = witness_expectation(BipartiteState(proj, (d, d)), witness)
+    assert abs(at_phi - (1.0 / d - 1.0)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(DIMS, SEEDS)
+def test_correlation_gap_is_zero_on_pure_products(dims, seed):
+    # criterion 9's gap at any dims, for local observables drawn at random
+    rng = np.random.default_rng(seed)
+    state = pure_product(dims, seed)
+    obs_a, obs_b = _local_observable(dims[0], rng), _local_observable(dims[1], rng)
+    assert abs(correlation_gap(state, obs_a, obs_b).gap) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
