@@ -325,16 +325,9 @@ def _method_spec(args):
 def _disentangle_item(path: str, item: dict, vtol: float, spec) -> int:
     state = _load_state(path, item, vtol)
     rep = disentanglement_report(state, [spec], tol=vtol)[0]
-    item["method"] = rep.method
-    item["factor_a"] = rep.factor_a
-    item["factor_b"] = rep.factor_b
+    item.update((f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep))
     item["product"] = None if rep.product is None else rep.product.rho
-    item["frobenius_to_input"] = rep.frobenius_to_input
-    item["entropy_input"] = rep.entropy_input
-    item["entropy_product"] = rep.entropy_product
-    item["entropy_change"] = rep.entropy_change
     item["solver"] = _solver_doc(rep.solver)
-    item["error"] = rep.error
     if rep.solver is not None and not rep.solver.converged:
         return EXIT_NONCONVERGENCE
     return EXIT_OK if rep.error is None else EXIT_INVALID

@@ -170,18 +170,36 @@ def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-def _bipartite_matrix(rho, dims) -> tuple[np.ndarray, tuple[int, int]]:
-    """Check ``dims`` and the shape of ``rho`` against them; return both as used."""
+def _check_dims(dims, exc: type[QDisentError] = DimensionMismatch,
+                noun: str = "both subsystem dimensions") -> tuple[int, int]:
+    """``dims`` as two ints each >= 2, else ``exc`` (its ">= 2" text led by ``noun``)."""
     try:
         n_a, n_b = (int(d) for d in dims)
     except (TypeError, ValueError):
-        raise DimensionMismatch(
-            f"dims must be a pair of integers, got {dims!r}"
-        ) from None
+        raise exc(f"dims must be a pair of integers, got {dims!r}") from None
     if n_a < 2 or n_b < 2:
-        raise DimensionMismatch(
-            f"both subsystem dimensions must be >= 2, got ({n_a}, {n_b})"
-        )
+        raise exc(f"{noun} must be >= 2, got ({n_a}, {n_b})")
+    return n_a, n_b
+
+
+def _check_count(value, name: str, exc: type[Exception] = ValueError) -> int:
+    """``int(value)``, or ``exc`` quoting ``value`` if that int is below 1."""
+    k = int(value)
+    if k < 1:
+        raise exc(f"{name} must be >= 1, got {value}")
+    return k
+
+
+def _check_side(value, name: str) -> str:
+    """``value`` if it names a subsystem, 'A' or 'B', else ValueError."""
+    if value not in ("A", "B"):
+        raise ValueError(f"{name} must be 'A' or 'B', got {value!r}")
+    return value
+
+
+def _bipartite_matrix(rho, dims) -> tuple[np.ndarray, tuple[int, int]]:
+    """Check ``dims`` and the shape of ``rho`` against them; return both as used."""
+    n_a, n_b = _check_dims(dims)
     m = _as_square(rho, "rho")
     if m.shape != (n_a * n_b, n_a * n_b):
         raise DimensionMismatch(
@@ -268,10 +286,9 @@ def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str,
     The side only picks the axes: ``m``'s 4-index view ``(a, b, c, d)``
     keeps that order over B and swaps its last two axes over A, so the
     contracted index is always last and the one block matmul sees its
-    rows in ``(a, b, c)`` or ``(a, b, d)`` order.
+    rows in ``(a, b, c)`` or ``(a, b, d)`` order.  ``over`` is not
+    checked here: callers pass a checked side or a literal.
     """
-    if over not in ("A", "B"):
-        raise ValueError(f"over must be 'A' or 'B', got {over!r}")
     if weight is not None and (n_a * n_b) % 4:
         m, weight = m @ embed_local(weight, over, (n_a, n_b)), None
     r = m.reshape(n_a, n_b, n_a, n_b)
@@ -287,19 +304,14 @@ def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str,
 
 def partial_trace(state: BipartiteState, over: str = "B") -> np.ndarray:
     """Trace out one subsystem; ``over='B'`` keeps the A factor."""
-    return _ptrace(state.rho, state.n_a, state.n_b, over)
+    return _ptrace(state.rho, state.n_a, state.n_b, _check_side(over, "over"))
 
 
 def partial_transpose(state: BipartiteState, on: str = "A") -> np.ndarray:
     """Transpose one tensor factor, leaving the other untouched."""
     r = state.rho.reshape(state.n_a, state.n_b, state.n_a, state.n_b)
-    if on == "A":
-        t = r.transpose(2, 1, 0, 3)
-    elif on == "B":
-        t = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"on must be 'A' or 'B', got {on!r}")
-    return t.reshape(state.dim, state.dim).copy()
+    axes = (2, 1, 0, 3) if _check_side(on, "on") == "A" else (0, 3, 2, 1)
+    return r.transpose(axes).reshape(state.dim, state.dim).copy()
 
 
 def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -313,9 +325,7 @@ def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:
     """Lift a one-subsystem operator to the joint space, op (x) I or I (x) op."""
     n_a, n_b = int(dims[0]), int(dims[1])
     arr = _as_square(op, "op")
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    n, rest = (n_a, n_b) if side == "A" else (n_b, n_a)
+    n, rest = (n_a, n_b) if _check_side(side, "side") == "A" else (n_b, n_a)
     if arr.shape != (n, n):
         raise DimensionMismatch(
             f"op has shape {arr.shape}, expected ({n}, {n}) for side {side}"

@@ -23,7 +23,9 @@ from .core import (
     NotPSDResult,
     QDisentError,
     ZeroDenominator,
+    _check_count,
     _check_local,
+    _check_side,
     _frobenius,
     _guard,
     _hermitize,
@@ -46,13 +48,6 @@ class NonConvergence(QDisentError):
 
 def _power(m: np.ndarray, k: int) -> np.ndarray:
     return m if k == 1 else np.linalg.matrix_power(m, k)
-
-
-def _check_power(m) -> int:
-    k = int(m)
-    if k < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return k
 
 
 def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
@@ -97,10 +92,8 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
         Power applied to the pointer before weighting.  The heuristic
         bound ``min(dims)**2 - 1`` is not enforced.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    k = _check_power(m)
-    partner_dim = state.n_b if side == "A" else state.n_a
+    partner_dim = state.n_b if _check_side(side, "side") == "A" else state.n_a
+    k = _check_count(m, "m")
     sigma = _check_local(validate_density(pointer, tol), partner_dim, "pointer")
     factor, _, _ = _weighted_reduction(state.rho, state.dims, _power(sigma, k),
                                        side, tol)
@@ -154,12 +147,10 @@ class CorrelatedPair:
 def _check_config(cfg: SolverConfig) -> None:
     if not 0.0 <= float(cfg.damping) < 1.0:
         raise ValueError(f"damping must sit in [0, 1), got {cfg.damping}")
-    if int(cfg.max_iter) < 1:
-        raise ValueError(f"max_iter must be >= 1, got {cfg.max_iter}")
+    _check_count(cfg.max_iter, "max_iter")
     if not float(cfg.tol) > 0.0:
         raise ValueError(f"tol must be positive, got {cfg.tol}")
-    if int(cfg.m_power) < 1:
-        raise ValueError(f"m_power must be >= 1, got {cfg.m_power}")
+    _check_count(cfg.m_power, "m_power")
 
 
 def fixed_point_solve(state: BipartiteState,
@@ -229,7 +220,7 @@ def fixed_point_solve(state: BipartiteState,
 def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
                           tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Re-substitution distances of a candidate pair under the coupled maps."""
-    k = _check_power(m)
+    k = _check_count(m, "m")
     a = _check_local(np.asarray(rho_a, dtype=complex), state.n_a, "rho_a")
     b = _check_local(np.asarray(rho_b, dtype=complex), state.n_b, "rho_b")
     # a candidate near the double limit overflows the weighting; the

@@ -15,6 +15,7 @@ from .core import (
     DimensionMismatch,
     InvalidSpec,
     ZeroDenominator,
+    _check_side,
     _frobenius,
     _guard,
     _ptrace,
@@ -24,11 +25,7 @@ from .core import (
 
 def neumann_reduce(state: BipartiteState, keep: str = "A") -> np.ndarray:
     """Partial trace keeping one side."""
-    if keep == "A":
-        return partial_trace(state, over="B")
-    if keep == "B":
-        return partial_trace(state, over="A")
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return partial_trace(state, over="B" if _check_side(keep, "keep") == "A" else "A")
 
 
 def validate_outcome_probs(probs, n_b: int, tol: float = DEFAULT_TOL) -> np.ndarray:

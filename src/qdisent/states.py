@@ -9,6 +9,7 @@ seed continues that stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ from .core import (
     BipartiteState,
     InvalidPointer,
     InvalidSpec,
+    _check_count,
+    _check_dims,
     _frobenius,
     tensor_product,
 )
@@ -33,14 +36,8 @@ class GenSpec:
     k_terms: int = 4
 
 
-def _check_dims(dims) -> tuple[int, int]:
-    try:
-        n_a, n_b = (int(d) for d in dims)
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"dims must be a pair of integers, got {dims!r}") from None
-    if n_a < 2 or n_b < 2:
-        raise InvalidSpec(f"subsystem dimensions must be >= 2, got ({n_a}, {n_b})")
-    return n_a, n_b
+# a recipe's dims are a spec, so a bad pair is InvalidSpec here
+_check_dims = functools.partial(_check_dims, exc=InvalidSpec, noun="subsystem dimensions")
 
 
 def random_ket(dim: int, seed=0) -> np.ndarray:
@@ -91,9 +88,7 @@ def separable_mixture(dims=(2, 2), seed=0, k_terms: int = 4,
     Weights come from a flat Dirichlet draw on the simplex.
     """
     n_a, n_b = _check_dims(dims)
-    k = int(k_terms)
-    if k < 1:
-        raise InvalidSpec(f"k_terms must be >= 1, got {k_terms}")
+    k = _check_count(k_terms, "k_terms", InvalidSpec)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k))
     m = np.zeros((n_a * n_b, n_a * n_b), dtype=complex)

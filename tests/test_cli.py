@@ -587,6 +587,22 @@ def test_unreadable_file_exits_3(tmp_path, cmd, data, text):
     assert "Traceback" not in proc.stderr
 
 
+# the same two parse failures in this process, where a line tracer over
+# the suite sees load_document's branches for them
+@pytest.mark.parametrize("name, data, text", [
+    ("deep.json", b"[" * 200000 + b"]" * 200000, "nests too deeply to parse"),
+    ("long.json", b'{"dims": [' + b"9" * (sys.get_int_max_str_digits() + 700) + b', 2]}\n',
+     f"holds an integer longer than {sys.get_int_max_str_digits()} digits"),
+], ids=["deep_nesting", "long_integer"])
+def test_unparsable_file_is_a_format_error_in_process(tmp_path, monkeypatch, capsys,
+                                                       name, data, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(data)
+    code, doc, err = run_json(capsys, "validate", name)
+    assert (code, err) == (3, "")
+    assert doc["error"] == f"StateFormatError: {name} {text}"
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "disentangle"])
 def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
     write_doc(tmp_path / "s.json", [0.25, 0.25, 0.25, 0.25])
@@ -1257,6 +1273,27 @@ def test_noisy_bell_states_meet_the_sweep_limit(tmp_path):
     assert abs(a[0, 0] - 0.6489) < 1e-4
     assert np.abs(as_matrix(item["factor_a"]) - a).max() <= 1e-9
     assert np.abs(as_matrix(item["factor_b"]) - b).max() <= 1e-9
+
+
+def test_heavy_damping_stops_on_the_damped_step(tmp_path, monkeypatch, capsys):
+    # a known limit: the stop test compares the damped step
+    # (1 - d) * |raw - previous| against --tol, not the residual, so a
+    # heavily damped solve is declared converged with residuals past --tol
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "generate", "random", "--dims", "2", "2", "--out", "r.json")[0] == 0
+    code, item, err = run_json(capsys, "disentangle", "--method", "correlated",
+                               "--damping", "0.9", "r.json")
+    solver = item["solver"]
+    assert (code, err, item["error"]) == (0, "", None)
+    assert solver["converged"] and solver["iterations"] == 308
+    assert max(solver["final_step_a"], solver["final_step_b"]) < 1e-12
+    assert f"{solver['residual_a']:.1e}" == "9.0e-12"
+    code, item, err = run_json(capsys, "disentangle", "--method", "correlated",
+                               "--damping", "0.9999999999999999", "r.json")
+    solver = item["solver"]
+    assert (code, err, item["error"]) == (0, "", None)
+    assert solver["converged"] and solver["iterations"] == 1
+    assert (f"{solver['residual_a']:.3g}", f"{solver['residual_b']:.3g}") == ("0.0285", "0.0892")
 
 
 def test_subprocess_entry_point(tmp_path):

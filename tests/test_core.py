@@ -33,6 +33,7 @@ from qdisent.core import (
 )
 from qdisent.criteria import _spectrum_entropy, _state_entropy, von_neumann_entropy
 from qdisent.states import random_density, random_state
+from test_correlated import _raises_exactly
 
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -209,10 +210,11 @@ def test_partial_trace_preserves_trace_and_positivity():
 
 def test_partial_trace_rejects_bad_side():
     state = BipartiteState(np.eye(4) / 4, (2, 2))
-    with pytest.raises(ValueError):
-        partial_trace(state, over="C")
-    with pytest.raises(ValueError, match="on must be 'A' or 'B', got 'C'"):
-        partial_transpose(state, on="C")
+    for bad, shown in (("C", "'C'"), (None, "None"), (["A"], "['A']")):
+        with _raises_exactly(ValueError, f"over must be 'A' or 'B', got {shown}"):
+            partial_trace(state, over=bad)
+        with _raises_exactly(ValueError, f"on must be 'A' or 'B', got {shown}"):
+            partial_transpose(state, on=bad)
 
 
 def test_partial_transpose_is_an_involution():
@@ -263,12 +265,15 @@ def test_validate_density_error_order():
 
 
 def test_bipartite_state_validates_dims():
-    with pytest.raises(DimensionMismatch):
+    with _raises_exactly(DimensionMismatch,
+                         "both subsystem dimensions must be >= 2, got (1, 4)"):
         BipartiteState(np.eye(4) / 4, (1, 4))
     with pytest.raises(DimensionMismatch):
         BipartiteState(np.eye(4) / 4, (2, 3))
-    with pytest.raises(DimensionMismatch):
-        BipartiteState(np.eye(4) / 4, ("a", "b"))
+    for bad in (("a", "b"), (2,), None):
+        with _raises_exactly(DimensionMismatch,
+                             f"dims must be a pair of integers, got {bad!r}"):
+            BipartiteState(np.eye(4) / 4, bad)
 
 
 def test_bipartite_state_is_frozen_and_read_only():
@@ -289,7 +294,7 @@ def test_embed_local_places_operator_on_requested_side():
     assert np.array_equal(right, np.kron(np.eye(3), op))
     with pytest.raises(DimensionMismatch):
         embed_local(op, "A", (3, 2))
-    with pytest.raises(ValueError):
+    with _raises_exactly(ValueError, "side must be 'A' or 'B', got 'C'"):
         embed_local(op, "C", (2, 2))
 
 

@@ -83,10 +83,14 @@ def test_pointer_power_changes_the_answer():
 
 def test_correlated_local_state_argument_checks():
     state = random_state((2, 2), seed=0)
-    with pytest.raises(ValueError):
+    with _raises_exactly(ValueError, "side must be 'A' or 'B', got 'Q'"):
         correlated_local_state(state, np.eye(2) / 2, side="Q")
-    with pytest.raises(ValueError):
-        correlated_local_state(state, np.eye(2) / 2, m=0)
+    # the side is checked before the power
+    with _raises_exactly(ValueError, "side must be 'A' or 'B', got None"):
+        correlated_local_state(state, np.eye(2) / 2, side=None, m=0)
+    for m in (0, 0.5):
+        with _raises_exactly(ValueError, f"m must be >= 1, got {m}"):
+            correlated_local_state(state, np.eye(2) / 2, m=m)
     with pytest.raises(DimensionMismatch):
         correlated_local_state(state, np.eye(3) / 3, side="A")
 
@@ -174,10 +178,17 @@ def test_fixed_point_residuals_report_an_overflowing_candidate():
 
 def test_solver_config_validation():
     state = random_state((2, 2), seed=1)
-    for bad in (SolverConfig(damping=1.0), SolverConfig(damping=-0.1),
-                SolverConfig(max_iter=0), SolverConfig(tol=0.0),
-                SolverConfig(m_power=0)):
-        with pytest.raises(ValueError):
+    for bad, text in (
+            (SolverConfig(damping=1.0), "damping must sit in [0, 1), got 1.0"),
+            (SolverConfig(damping=-0.1), "damping must sit in [0, 1), got -0.1"),
+            (SolverConfig(max_iter=0), "max_iter must be >= 1, got 0"),
+            (SolverConfig(tol=0.0), "tol must be positive, got 0.0"),
+            (SolverConfig(m_power=0), "m_power must be >= 1, got 0"),
+            # checked in that order: damping, max_iter, tol, m_power
+            (SolverConfig(damping=1.0, max_iter=0), "damping must sit in [0, 1), got 1.0"),
+            (SolverConfig(max_iter=0.5, tol=0.0, m_power=0), "max_iter must be >= 1, got 0.5"),
+            (SolverConfig(tol=0.0, m_power=0), "tol must be positive, got 0.0")):
+        with _raises_exactly(ValueError, text):
             fixed_point_solve(state, bad)
 
 
@@ -253,6 +264,37 @@ def test_solver_summary_spans_every_sweep():
     assert best.min_eig_seen < 0.0
     assert (best.final_step_a, best.final_step_b) == steps
     assert best.max_herm_defect == max(defects) > max(defects[-2:])
+    assert best.min_eig_seen == min(eigs) < min(eigs[-2:])
+
+
+def test_solver_summary_keeps_a_clamp_rounding_cannot_undo():
+    # (1 + d)|psi><psi| - d|0,2><0,2| on dims (2, 3), psi on B's levels
+    # 0-1: each B half-step has an eigenvalue near -9e-12, a clamp set
+    # by d = 1e-11 and not by rounding (-9.110e-12, -9.023e-12 and
+    # -9.017e-12 under OpenBLAS's SkylakeX, Haswell and Sandybridge)
+    delta = 1e-11
+    psi = np.zeros(6, dtype=complex)
+    psi[[0, 1, 3, 4]] = random_ket(4, 12)
+    corner = np.zeros((6, 6))
+    corner[2, 2] = 1.0
+    state = BipartiteState((1 + delta) * np.outer(psi, psi.conj()) - delta * corner, (2, 3))
+    rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
+    defects, eigs = [], []
+    for _ in range(3):
+        new_a, defect_a, min_a = _weighted_reduction(
+            state.rho, state.dims, rho_b, "A", DEFAULT_TOL)
+        new_b, defect_b, min_b = _weighted_reduction(
+            state.rho, state.dims, new_a, "B", DEFAULT_TOL)
+        steps = np.linalg.norm(new_a - rho_a), np.linalg.norm(new_b - rho_b)
+        defects += [defect_a, defect_b]
+        eigs += [min_a, min_b]
+        rho_a, rho_b = new_a, new_b
+    assert min(eigs[::2]) > 0.0 and max(eigs[1::2]) < -9e-12
+    with pytest.raises(NonConvergence) as err:
+        fixed_point_solve(state, SolverConfig(max_iter=3))
+    best = err.value.best
+    assert (best.final_step_a, best.final_step_b) == steps
+    assert best.max_herm_defect == max(defects)
     assert best.min_eig_seen == min(eigs) < min(eigs[-2:])
 
 

@@ -17,6 +17,7 @@ from qdisent.states import (
     random_unitary,
     separable_mixture,
 )
+from test_correlated import _raises_exactly
 
 
 def test_bell_state_matrix():
@@ -102,7 +103,13 @@ def test_generate_dispatch_and_errors():
         generate(GenSpec(kind="bell", dims=(2, 3)))
     with pytest.raises(InvalidSpec):
         generate(GenSpec(kind="nope"))
-    with pytest.raises(InvalidSpec):
+    with _raises_exactly(InvalidSpec, "subsystem dimensions must be >= 2, got (1, 2)"):
         generate(GenSpec(kind="random", dims=(1, 2)))
-    with pytest.raises(InvalidSpec, match="dims must be a pair of integers"):
+    with _raises_exactly(InvalidSpec, "dims must be a pair of integers, got ('a', 2)"):
         generate(GenSpec(kind="random", dims=("a", 2)))
+    # a recipe's dims are checked before its term count
+    with _raises_exactly(InvalidSpec, "dims must be a pair of integers, got None"):
+        generate(GenSpec(kind="separable_mixture", dims=None, k_terms=0))
+    for k in (0, -1, 0.5):
+        with _raises_exactly(InvalidSpec, f"k_terms must be >= 1, got {k}"):
+            generate(GenSpec(kind="separable_mixture", k_terms=k))
