@@ -13,6 +13,11 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+try:  # the gufuncs behind np.linalg.eigh and eigvalsh (see _eigh)
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy that moved its private module
+    _umath_linalg = None
+
 DEFAULT_TOL = 1e-9
 
 
@@ -121,6 +126,27 @@ class DensityCheck:
     min_eigenvalue: float
 
 
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(m: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh(m)``, or ``eigvalsh(m)`` without vectors: every eigensolve here.
+
+    The wrapper's gufunc on the same square complex array, so the same
+    bits, without its per-call checks; under its error state, so a
+    LAPACK non-convergence raises LinAlgError and warns nothing.  A
+    numpy without the private module takes the public functions.
+    """
+    if _umath_linalg is None:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        if vectors:
+            return _umath_linalg.eigh_lo(m, signature="D->dD")
+        return _umath_linalg.eigvalsh_lo(m, signature="D->d")
+
+
 def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray | None]:
     """``density_defects`` of a square array, plus the ascending spectrum it solved.
 
@@ -136,7 +162,7 @@ def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray | None]:
     with np.errstate(over="ignore", invalid="ignore"):
         herm, sym = _hermitize(m)
         trace = float(abs(m.trace() - 1.0))
-    w = np.linalg.eigvalsh(sym)
+    w = _eigh(sym, vectors=False)
     exact = sym.tobytes() == m.tobytes()
     return DensityCheck(herm, trace, float(w[0])), (w if exact else None)
 
@@ -175,7 +201,7 @@ def _check_dims(dims, exc: type[QDisentError] = DimensionMismatch,
     """``dims`` as two ints each >= 2, else ``exc`` (its ">= 2" text led by ``noun``)."""
     try:
         n_a, n_b = (int(d) for d in dims)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise exc(f"dims must be a pair of integers, got {dims!r}") from None
     if n_a < 2 or n_b < 2:
         raise exc(f"{noun} must be >= 2, got ({n_a}, {n_b})")
@@ -183,8 +209,11 @@ def _check_dims(dims, exc: type[QDisentError] = DimensionMismatch,
 
 
 def _check_count(value, name: str, exc: type[Exception] = ValueError) -> int:
-    """``int(value)``, or ``exc`` quoting ``value`` if that int is below 1."""
-    k = int(value)
+    """``int(value)``, or ``exc`` quoting ``value`` if it has no int or one below 1."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise exc(f"{name} must be an integer, got {value!r}") from None
     if k < 1:
         raise exc(f"{name} must be >= 1, got {value}")
     return k
@@ -274,32 +303,60 @@ def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str,
             weight: np.ndarray | None = None) -> np.ndarray:
     """Trace ``m`` over one subsystem, optionally weighted by a partner factor.
 
-    With ``weight`` this is the trace of ``m @ (I x weight)`` over B, or
-    of ``m @ (weight x I)`` over A.  The weighted trace never forms that
-    lift: one matmul of ``m``'s entries, laid out by the contracted
-    index, against the weight does the lifted n^3 product's useful work.
-    OpenBLAS's zgemm rounds an output column differently when it falls
-    outside a full group of 4 columns, so the weight is zero-padded to a
-    multiple of 4 columns, and a joint dimension that is not a multiple
-    of 4, whose lifted product has a partial group, keeps that product.
-
-    The side only picks the axes: ``m``'s 4-index view ``(a, b, c, d)``
-    keeps that order over B and swaps its last two axes over A, so the
-    contracted index is always last and the one block matmul sees its
-    rows in ``(a, b, c)`` or ``(a, b, d)`` order.  ``over`` is not
-    checked here: callers pass a checked side or a literal.
+    A weighted trace is a ``_ptrace_plan`` set up and applied once.
+    ``over`` is not checked here: callers pass a checked side or a
+    literal.
     """
-    if weight is not None and (n_a * n_b) % 4:
-        m, weight = m @ embed_local(weight, over, (n_a, n_b)), None
-    r = m.reshape(n_a, n_b, n_a, n_b)
-    if over == "A":
-        r = r.transpose(0, 1, 3, 2)
     if weight is not None:
-        k = weight.shape[0]
-        padded = np.zeros((k, -(-k // 4) * 4), dtype=complex)
+        return _ptrace_plan(m, n_a, n_b, over)(weight)
+    r, trace = _contracted_last(m, n_a, n_b, over)
+    return np.einsum(trace, r)
+
+
+def _contracted_last(m: np.ndarray, n_a: int, n_b: int,
+                     over: str) -> tuple[np.ndarray, str]:
+    """``m``'s 4-index view with the contracted index last, and the einsum tracing it.
+
+    The side only picks the axes: the view ``(a, b, c, d)`` keeps that
+    order over B and swaps its last two axes over A.
+    """
+    r = m.reshape(n_a, n_b, n_a, n_b)
+    if over == "B":
+        return r, "abcb->ac"
+    return r.transpose(0, 1, 3, 2), "abda->bd"
+
+
+def _ptrace_plan(m: np.ndarray, n_a: int, n_b: int, over: str):
+    """``weight -> _ptrace(m, n_a, n_b, over, weight)``, set up once for many weights.
+
+    The weighted trace is that of ``m @ (I x weight)`` over B, or of
+    ``m @ (weight x I)`` over A.  It never forms that lift: one matmul
+    of ``m``'s entries, laid out by the contracted index, against the
+    weight does the lifted n^3 product's useful work.  OpenBLAS's zgemm
+    rounds an output column differently when it falls outside a full
+    group of 4 columns, so the weight is zero-padded to a multiple of 4
+    columns, and a joint dimension that is not a multiple of 4, whose
+    lifted product has a partial group, keeps that product.  The rows
+    (over A a copy of the swapped axes), the padded weight and the
+    matmul's output are the plan's own buffers, made once, so a plan
+    serves one caller at a time; each result is a fresh array.
+    """
+    if (n_a * n_b) % 4:
+        return lambda weight: _ptrace(m @ embed_local(weight, over, (n_a, n_b)),
+                                      n_a, n_b, over)
+    r, trace = _contracted_last(m, n_a, n_b, over)
+    k = r.shape[3]
+    rows = r.reshape(-1, k)
+    padded = np.zeros((k, -(-k // 4) * 4), dtype=complex)
+    out = np.empty((rows.shape[0], padded.shape[1]), dtype=complex)
+    view = out.reshape(*r.shape[:3], -1)[..., :k]
+
+    def apply(weight: np.ndarray) -> np.ndarray:
         padded[:, :k] = weight
-        r = (r.reshape(-1, k) @ padded).reshape(*r.shape[:3], -1)[..., :k]
-    return np.einsum("abcb->ac" if over == "B" else "abda->bd", r)
+        np.matmul(rows, padded, out=out)
+        return np.einsum(trace, view)
+
+    return apply
 
 
 def partial_trace(state: BipartiteState, over: str = "B") -> np.ndarray:
@@ -318,7 +375,7 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a hermitian matrix, ascending."""
     arr = _as_square(m)
     _require_hermitian(arr, tol)
-    return np.linalg.eigvalsh(arr)
+    return _eigh(arr, vectors=False)
 
 
 def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:

@@ -26,10 +26,12 @@ from .core import (
     _check_count,
     _check_local,
     _check_side,
+    _eigh,
     _frobenius,
     _guard,
     _hermitize,
     _ptrace,
+    _ptrace_plan,
     partial_trace,
     product_state,
     validate_density,
@@ -55,17 +57,23 @@ def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
     """One half-step: trace against the powered partner, renormalize.
 
     The caller checked every shape.  Returns
-    (factor, hermiticity_defect, min_eigenvalue).  The raw quotient is
-    hermitized as (M + M^dag)/2; eigenvalues in (-tol, 0) are clamped
-    to zero at normalization, anything lower raises NotPSDResult
-    instead of silently projecting.
+    (factor, hermiticity_defect, min_eigenvalue), as ``_renormalized``.
     """
     other = "B" if side == "A" else "A"
-    num = _ptrace(rho, dims[0], dims[1], other, weight=partner_pow)
+    return _renormalized(_ptrace(rho, dims[0], dims[1], other, weight=partner_pow), tol)
+
+
+def _renormalized(num: np.ndarray, tol: float):
+    """A weighted trace as (unit-trace factor, hermiticity_defect, min_eigenvalue).
+
+    The raw quotient is hermitized as (M + M^dag)/2; eigenvalues in
+    (-tol, 0) are clamped to zero at normalization, anything lower
+    raises NotPSDResult instead of silently projecting.
+    """
     den = float(num.trace().real)
     _guard(den > tol, ZeroDenominator, "weighted trace", den, "is not above tol", tol)
     defect, m = _hermitize(num / den)
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh(m)
     min_eig = float(w[0])
     _guard(min_eig >= -tol, NotPSDResult, "weighted reduction has eigenvalue", min_eig,
            "below -tol", -tol)
@@ -171,29 +179,33 @@ def fixed_point_solve(state: BipartiteState,
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     k = int(cfg.m_power)
     d = float(cfg.damping)
+    # each factor's weighted trace, set up once for every sweep
+    to_a = _ptrace_plan(state.rho, state.n_a, state.n_b, "B")
+    to_b = _ptrace_plan(state.rho, state.n_a, state.n_b, "A")
 
     herm, low = 0.0, np.inf
     best = None
     best_score = np.inf
     # F_A at the current rho_b, carried across sweeps so the residual
     # evaluation doubles as the next raw update
-    raw_a, defect_a, min_a = _weighted_reduction(
-        state.rho, state.dims, _power(rho_b, k), "A", guard)
+    raw_a, defect_a, min_a = _renormalized(to_a(_power(rho_b, k)), guard)
+    res_a = _frobenius(rho_a - raw_a)
 
     for it in range(1, int(cfg.max_iter) + 1):
         new_a = raw_a if d == 0.0 else (1.0 - d) * raw_a + d * rho_a
-        step_a = _frobenius(new_a - rho_a)
+        # undamped, the step is the current pair's residual_a bit for bit:
+        # ||x - y|| and ||y - x|| square the same values
+        step_a = res_a if d == 0.0 else _frobenius(new_a - rho_a)
         rho_a = new_a
 
-        raw_b, defect_b, min_b = _weighted_reduction(
-            state.rho, state.dims, _power(rho_a, k), "B", guard)
+        raw_b, defect_b, min_b = _renormalized(to_b(_power(rho_a, k)), guard)
         new_b = raw_b if d == 0.0 else (1.0 - d) * raw_b + d * rho_b
         step_b = _frobenius(new_b - rho_b)
-        res_b = _frobenius(new_b - raw_b)
+        # undamped, new_b is the finite raw_b, so this is exactly 0.0
+        res_b = 0.0 if d == 0.0 else _frobenius(new_b - raw_b)
         rho_b = new_b
 
-        raw_a, next_defect_a, next_min_a = _weighted_reduction(
-            state.rho, state.dims, _power(rho_b, k), "A", guard)
+        raw_a, next_defect_a, next_min_a = _renormalized(to_a(_power(rho_b, k)), guard)
         res_a = _frobenius(rho_a - raw_a)
 
         herm = max(herm, defect_a, defect_b)

@@ -13,6 +13,7 @@ from .core import (
     DimensionMismatch,
     NotPSD,
     _check_local,
+    _eigh,
     _guard,
     embed_local,
     hermitian_eigenvalues,
@@ -65,7 +66,7 @@ def ppt_test(state: BipartiteState, tol: float = DEFAULT_TOL) -> PptResult:
     is necessary for separability but not sufficient in general.
     """
     pt = partial_transpose(state, on="A")
-    w = np.linalg.eigvalsh(pt)
+    w = _eigh(pt, vectors=False)
     return PptResult(float(w[0]), bool(w[0] >= -tol))
 
 
@@ -96,8 +97,8 @@ def reduction_criterion_test(state: BipartiteState, mode: str = "standard",
         eye_b = eye_b / n_b
     op_a = tensor_product(eye_a, rho_b) - state.rho
     op_b = tensor_product(rho_a, eye_b) - state.rho
-    min_a = float(np.linalg.eigvalsh(op_a)[0])
-    min_b = float(np.linalg.eigvalsh(op_b)[0])
+    min_a = float(_eigh(op_a, vectors=False)[0])
+    min_b = float(_eigh(op_b, vectors=False)[0])
     return ReductionResult(min_a, min_b, bool(min_a >= -tol and min_b >= -tol))
 
 

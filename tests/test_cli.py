@@ -14,11 +14,12 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qdisent import cli, file_digest
+from qdisent import cli, core, file_digest
 from qdisent.cli import build_parser, main
 from qdisent.correlated import disentanglement_report
 from qdisent.stateio import dumps_canonical, save_state
@@ -610,7 +611,15 @@ def test_linalg_error_is_an_invalid_item(tmp_path, monkeypatch, capsys, cmd):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    def no_convergence(a, signature):
+        # how numpy's eigensolve gufuncs report a LAPACK failure: nan
+        # out and the invalid flag raised, which core._eigh's error
+        # state turns into LinAlgError
+        return np.sqrt(np.full(a.shape[-1], -1.0))
+
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(core, "_umath_linalg",
+                        SimpleNamespace(eigh_lo=no_convergence, eigvalsh_lo=no_convergence))
     code, doc, _ = run_json(capsys, cmd, str(tmp_path / "s.json"))
     assert code == 1
     assert doc["error"] == "LinAlgError: Eigenvalues did not converge"

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdisent
+from qdisent import core
 from qdisent.core import (
     BipartiteState,
     DensityCheck,
@@ -18,6 +19,7 @@ from qdisent.core import (
     NotHermitian,
     NotPSD,
     TraceNotOne,
+    _eigh,
     _frobenius,
     _hermitize,
     _ptrace,
@@ -270,7 +272,8 @@ def test_bipartite_state_validates_dims():
         BipartiteState(np.eye(4) / 4, (1, 4))
     with pytest.raises(DimensionMismatch):
         BipartiteState(np.eye(4) / 4, (2, 3))
-    for bad in (("a", "b"), (2,), None):
+    inf, nan = float("inf"), float("nan")
+    for bad in (("a", "b"), (2,), None, (inf, 2), (2, -inf), (nan, 2)):
         with _raises_exactly(DimensionMismatch,
                              f"dims must be a pair of integers, got {bad!r}"):
             BipartiteState(np.eye(4) / 4, bad)
@@ -380,3 +383,25 @@ def test_zero_defect_with_a_flipped_zero_keeps_no_spectrum():
     assert state._spectrum is None
     got = np.float64(_state_entropy(state, 1e-9))
     assert got.view(np.uint64) == np.float64(von_neumann_entropy(m)).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.booleans())
+def test_eigensolve_helper_is_numpys_eigh_bit_for_bit(n, seed, fallback):
+    # core._eigh calls numpy's eigh gufuncs itself, or, without numpy's
+    # private module, np.linalg's functions: either way the bits of
+    # np.linalg.eigh and eigvalsh, on random hermitian matrices and on
+    # ones built with their eigenvalues in equal pairs
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = (g + g.conj().T) / 2
+    q = np.linalg.qr(g)[0]
+    flat = (q * np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]) @ q.conj().T
+    with pytest.MonkeyPatch.context() as patch:
+        if fallback:
+            patch.setattr(core, "_umath_linalg", None)
+        for m in (h, flat):
+            w, v = _eigh(m)
+            want_w, want_v = np.linalg.eigh(m)
+            assert _same_bits(w, want_w) and _same_bits(v, want_v)
+            assert _same_bits(_eigh(m, vectors=False), np.linalg.eigvalsh(m))

@@ -1,9 +1,12 @@
+import dataclasses
 import re
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdisent.core import (
     DEFAULT_TOL,
@@ -13,11 +16,14 @@ from qdisent.core import (
     InvalidSpec,
     NotPSDResult,
     ZeroDenominator,
+    _hermitize,
+    _ptrace,
     partial_trace,
     product_state,
 )
 from qdisent.correlated import (
     CorrelatedMethod,
+    CorrelatedPair,
     NeumannMethod,
     NonConvergence,
     PointerMethod,
@@ -43,6 +49,7 @@ from qdisent.states import (
     separable_mixture,
 )
 from test_cli import _noisy_bell
+from test_properties import DIMS, SEEDS
 
 
 def test_maximally_mixed_pointer_recovers_plain_reduction():
@@ -184,6 +191,10 @@ def test_solver_config_validation():
             (SolverConfig(max_iter=0), "max_iter must be >= 1, got 0"),
             (SolverConfig(tol=0.0), "tol must be positive, got 0.0"),
             (SolverConfig(m_power=0), "m_power must be >= 1, got 0"),
+            (SolverConfig(max_iter=float("inf")), "max_iter must be an integer, got inf"),
+            (SolverConfig(max_iter=None), "max_iter must be an integer, got None"),
+            (SolverConfig(m_power=float("nan")), "m_power must be an integer, got nan"),
+            (SolverConfig(m_power="x"), "m_power must be an integer, got 'x'"),
             # checked in that order: damping, max_iter, tol, m_power
             (SolverConfig(damping=1.0, max_iter=0), "damping must sit in [0, 1), got 1.0"),
             (SolverConfig(max_iter=0.5, tol=0.0, m_power=0), "max_iter must be >= 1, got 0.5"),
@@ -296,6 +307,90 @@ def test_solver_summary_keeps_a_clamp_rounding_cannot_undo():
     assert (best.final_step_a, best.final_step_b) == steps
     assert best.max_herm_defect == max(defects)
     assert best.min_eig_seen == min(eigs) < min(eigs[-2:])
+
+
+def _reference_half_step(state, partner, over, k):
+    """One half-step written plainly: a one-shot ``_ptrace`` and ``np.linalg.eigh``."""
+    weight = partner if k == 1 else np.linalg.matrix_power(partner, k)
+    num = _ptrace(state.rho, state.n_a, state.n_b, over, weight=weight)
+    den = float(num.trace().real)
+    assert den > DEFAULT_TOL
+    defect, m = _hermitize(num / den)
+    w, v = np.linalg.eigh(m)
+    low = float(w[0])
+    assert low >= -DEFAULT_TOL
+    if low < 0.0:
+        w = np.clip(w, 0.0, None)
+        m = (v * w) @ v.conj().T
+        m = m / float(m.trace().real)
+    return m, defect, low
+
+
+def reference_solve(state, cfg):
+    """``fixed_point_solve``'s sweep written plainly: one-shot half-steps, every norm taken.
+
+    Returns the pair and None, or the best pair and the NonConvergence text.
+    """
+    rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
+    k, d = cfg.m_power, cfg.damping
+    herm, low, best, best_score = 0.0, np.inf, None, np.inf
+    raw_a, defect_a, min_a = _reference_half_step(state, rho_b, "B", k)
+    for it in range(1, cfg.max_iter + 1):
+        new_a = raw_a if d == 0.0 else (1.0 - d) * raw_a + d * rho_a
+        step_a = float(np.linalg.norm(new_a - rho_a))
+        rho_a = new_a
+        raw_b, defect_b, min_b = _reference_half_step(state, rho_a, "A", k)
+        new_b = raw_b if d == 0.0 else (1.0 - d) * raw_b + d * rho_b
+        step_b = float(np.linalg.norm(new_b - rho_b))
+        res_b = float(np.linalg.norm(new_b - raw_b))
+        rho_b = new_b
+        raw_a, next_defect_a, next_min_a = _reference_half_step(state, rho_b, "B", k)
+        res_a = float(np.linalg.norm(rho_a - raw_a))
+        herm, low = max(herm, defect_a, defect_b), min(low, min_a, min_b)
+        if max(res_a, res_b) < best_score:
+            best_score, best = max(res_a, res_b), (rho_a, rho_b, res_a, res_b, it)
+        if step_a < cfg.tol and step_b < cfg.tol:
+            return CorrelatedPair(rho_a, rho_b, res_a, res_b, it, True,
+                                  step_a, step_b, herm, low), None
+        defect_a, min_a = next_defect_a, next_min_a
+    ba, bb, ra, rb, bit = best
+    text = (f"no convergence after {cfg.max_iter} sweeps; best residuals "
+            f"({ra:.3e}, {rb:.3e}) at sweep {bit}")
+    return CorrelatedPair(ba, bb, ra, rb, cfg.max_iter, False,
+                          step_a, step_b, herm, low), text
+
+
+def _same_field(x, y):
+    if isinstance(x, np.ndarray):
+        return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    return (type(x), repr(x)) == (type(y), repr(y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(DIMS | st.just((8, 8)), SEEDS, st.booleans(), st.integers(1, 3),
+       st.sampled_from((0.0, 0.3)), st.sampled_from((3, SolverConfig.max_iter)))
+@example((8, 8), 0, True, 2, 0.0, 3)  # a clamp in the first three sweeps
+@example((3, 5), 1, False, 1, 0.3, SolverConfig.max_iter)
+def test_planned_sweep_matches_the_plain_reference(dims, seed, pure, m_power, damping,
+                                                   max_iter):
+    # the solver sets each side's contraction up once and skips the
+    # norms an undamped sweep already knows; every field, both factors'
+    # bytes and the NonConvergence text stay the plain sweep's.  Pure
+    # states clamp their rank-deficient half-steps
+    if pure:
+        psi = random_ket(dims[0] * dims[1], seed)
+        state = BipartiteState(np.outer(psi, psi.conj()), dims)
+    else:
+        state = random_state(dims, seed)
+    cfg = SolverConfig(max_iter=max_iter, damping=damping, m_power=m_power)
+    want, want_text = reference_solve(state, cfg)
+    try:
+        got, got_text = fixed_point_solve(state, cfg), None
+    except NonConvergence as exc:
+        got, got_text = exc.best, str(exc)
+    assert got_text == want_text
+    for f in dataclasses.fields(CorrelatedPair):
+        assert _same_field(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 def _solve_peak_kib(state, sweeps):

@@ -1,9 +1,11 @@
 import contextlib
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qdisent import core
 from qdisent.cli import main
 from qdisent.core import (
     BipartiteState,
@@ -156,17 +158,27 @@ def test_separability_verdict_aggregates():
 
 
 def _joint_solves(monkeypatch, argv, n):
-    """Run the CLI in-process; count the n x n ``eigvalsh`` calls it makes."""
+    """Run the CLI in-process; count the n x n eigenvalue-only solves it makes.
+
+    Both ways to one are counted: the gufunc ``core._eigh`` calls and
+    ``np.linalg.eigvalsh``.
+    """
     calls = []
+    gufuncs = core._umath_linalg
     eigvalsh = np.linalg.eigvalsh
 
-    def spy(a, *args, **kwargs):
-        if np.shape(a) == (n, n):
-            calls.append(1)
-        return eigvalsh(a, *args, **kwargs)
+    def spying(solve):
+        def spy(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                calls.append(1)
+            return solve(a, *args, **kwargs)
+        return spy
 
     with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-        patch.setattr(np.linalg, "eigvalsh", spy)
+        if gufuncs is not None:
+            patch.setattr(core, "_umath_linalg", SimpleNamespace(
+                eigh_lo=gufuncs.eigh_lo, eigvalsh_lo=spying(gufuncs.eigvalsh_lo)))
+        patch.setattr(np.linalg, "eigvalsh", spying(eigvalsh))
         code = main(argv)
     return code, len(calls)
 

@@ -113,3 +113,11 @@ def test_generate_dispatch_and_errors():
     for k in (0, -1, 0.5):
         with _raises_exactly(InvalidSpec, f"k_terms must be >= 1, got {k}"):
             generate(GenSpec(kind="separable_mixture", k_terms=k))
+    # a count or a dim with no int fails as the recipe's own error
+    inf, nan = float("inf"), float("nan")
+    for k in (nan, inf, None, "x"):
+        with _raises_exactly(InvalidSpec, f"k_terms must be an integer, got {k!r}"):
+            generate(GenSpec(kind="separable_mixture", k_terms=k))
+    for dims in ((inf, 2), (2, nan)):
+        with _raises_exactly(InvalidSpec, f"dims must be a pair of integers, got {dims!r}"):
+            generate(GenSpec(kind="random", dims=dims))
