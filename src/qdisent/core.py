@@ -288,6 +288,10 @@ def tensor_product(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch(
+            f"tensor product needs two matrices, got shapes {a.shape} and {b.shape}"
+        )
     out = a[:, None, :, None] * b[None, :, None, :]
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
@@ -299,16 +303,12 @@ def product_state(rho_a, rho_b, tol: float = DEFAULT_TOL) -> BipartiteState:
     return BipartiteState(tensor_product(a, b), (a.shape[0], b.shape[0]), tol=tol)
 
 
-def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str,
-            weight: np.ndarray | None = None) -> np.ndarray:
-    """Trace ``m`` over one subsystem, optionally weighted by a partner factor.
+def _ptrace(m: np.ndarray, n_a: int, n_b: int, over: str) -> np.ndarray:
+    """Trace ``m`` over one subsystem.
 
-    A weighted trace is a ``_ptrace_plan`` set up and applied once.
     ``over`` is not checked here: callers pass a checked side or a
-    literal.
+    literal.  A trace weighted by a partner factor is a ``_ptrace_plan``.
     """
-    if weight is not None:
-        return _ptrace_plan(m, n_a, n_b, over)(weight)
     r, trace = _contracted_last(m, n_a, n_b, over)
     return np.einsum(trace, r)
 
@@ -327,7 +327,7 @@ def _contracted_last(m: np.ndarray, n_a: int, n_b: int,
 
 
 def _ptrace_plan(m: np.ndarray, n_a: int, n_b: int, over: str):
-    """``weight -> _ptrace(m, n_a, n_b, over, weight)``, set up once for many weights.
+    """Set up ``m``'s weighted trace over one subsystem once; return ``weight -> trace``.
 
     The weighted trace is that of ``m @ (I x weight)`` over B, or of
     ``m @ (weight x I)`` over A.  It never forms that lift: one matmul
@@ -380,7 +380,7 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def embed_local(op, side: str, dims: tuple[int, int]) -> np.ndarray:
     """Lift a one-subsystem operator to the joint space, op (x) I or I (x) op."""
-    n_a, n_b = int(dims[0]), int(dims[1])
+    n_a, n_b = _check_dims(dims)
     arr = _as_square(op, "op")
     n, rest = (n_a, n_b) if _check_side(side, "side") == "A" else (n_b, n_a)
     if arr.shape != (n, n):

@@ -30,7 +30,6 @@ from .core import (
     _frobenius,
     _guard,
     _hermitize,
-    _ptrace,
     _ptrace_plan,
     partial_trace,
     product_state,
@@ -48,40 +47,35 @@ class NonConvergence(QDisentError):
         self.best = best
 
 
-def _power(m: np.ndarray, k: int) -> np.ndarray:
-    return m if k == 1 else np.linalg.matrix_power(m, k)
+def _half_step(state, side: str, k: int, tol: float):
+    """Set up the refresh of ``side``'s factor once; return ``partner -> refreshed``.
 
-
-def _weighted_reduction(rho: np.ndarray, dims: tuple[int, int],
-                        partner_pow: np.ndarray, side: str, tol: float):
-    """One half-step: trace against the powered partner, renormalize.
-
-    The caller checked every shape.  Returns
-    (factor, hermiticity_defect, min_eigenvalue), as ``_renormalized``.
+    ``state`` needs only ``rho``, ``n_a`` and ``n_b``, and the caller
+    checked every shape.  Each call weights ``rho`` by ``partner**k``,
+    traces the partner side out and renormalizes, returning
+    (unit-trace factor, hermiticity_defect, min_eigenvalue).  The raw
+    quotient is hermitized as (M + M^dag)/2; eigenvalues in (-tol, 0)
+    are clamped to zero at normalization, anything lower raises
+    NotPSDResult instead of silently projecting.
     """
-    other = "B" if side == "A" else "A"
-    return _renormalized(_ptrace(rho, dims[0], dims[1], other, weight=partner_pow), tol)
+    contract = _ptrace_plan(state.rho, state.n_a, state.n_b, "B" if side == "A" else "A")
 
+    def step(partner: np.ndarray):
+        num = contract(partner if k == 1 else np.linalg.matrix_power(partner, k))
+        den = float(num.trace().real)
+        _guard(den > tol, ZeroDenominator, "weighted trace", den, "is not above tol", tol)
+        defect, m = _hermitize(num / den)
+        w, v = _eigh(m)
+        min_eig = float(w[0])
+        _guard(min_eig >= -tol, NotPSDResult, "weighted reduction has eigenvalue", min_eig,
+               "below -tol", -tol)
+        if min_eig < 0.0:
+            w = np.clip(w, 0.0, None)
+            m = (v * w) @ v.conj().T
+            m = m / float(m.trace().real)
+        return m, defect, min_eig
 
-def _renormalized(num: np.ndarray, tol: float):
-    """A weighted trace as (unit-trace factor, hermiticity_defect, min_eigenvalue).
-
-    The raw quotient is hermitized as (M + M^dag)/2; eigenvalues in
-    (-tol, 0) are clamped to zero at normalization, anything lower
-    raises NotPSDResult instead of silently projecting.
-    """
-    den = float(num.trace().real)
-    _guard(den > tol, ZeroDenominator, "weighted trace", den, "is not above tol", tol)
-    defect, m = _hermitize(num / den)
-    w, v = _eigh(m)
-    min_eig = float(w[0])
-    _guard(min_eig >= -tol, NotPSDResult, "weighted reduction has eigenvalue", min_eig,
-           "below -tol", -tol)
-    if min_eig < 0.0:
-        w = np.clip(w, 0.0, None)
-        m = (v * w) @ v.conj().T
-        m = m / float(m.trace().real)
-    return m, defect, min_eig
+    return step
 
 
 def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
@@ -103,9 +97,7 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
     partner_dim = state.n_b if _check_side(side, "side") == "A" else state.n_a
     k = _check_count(m, "m")
     sigma = _check_local(validate_density(pointer, tol), partner_dim, "pointer")
-    factor, _, _ = _weighted_reduction(state.rho, state.dims, _power(sigma, k),
-                                       side, tol)
-    return factor
+    return _half_step(state, side, k, tol)(sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -175,20 +167,18 @@ def fixed_point_solve(state: BipartiteState,
     """
     cfg = config if config is not None else SolverConfig()
     _check_config(cfg)
-    guard = DEFAULT_TOL  # denominator and positivity guard, not the convergence tol
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
-    k = int(cfg.m_power)
     d = float(cfg.damping)
-    # each factor's weighted trace, set up once for every sweep
-    to_a = _ptrace_plan(state.rho, state.n_a, state.n_b, "B")
-    to_b = _ptrace_plan(state.rho, state.n_a, state.n_b, "A")
+    # each factor's half-step, set up once for every sweep; DEFAULT_TOL
+    # guards its denominator and positivity, not the convergence tol
+    to_a, to_b = (_half_step(state, side, int(cfg.m_power), DEFAULT_TOL) for side in "AB")
 
     herm, low = 0.0, np.inf
     best = None
     best_score = np.inf
     # F_A at the current rho_b, carried across sweeps so the residual
     # evaluation doubles as the next raw update
-    raw_a, defect_a, min_a = _renormalized(to_a(_power(rho_b, k)), guard)
+    raw_a, defect_a, min_a = to_a(rho_b)
     res_a = _frobenius(rho_a - raw_a)
 
     for it in range(1, int(cfg.max_iter) + 1):
@@ -198,14 +188,14 @@ def fixed_point_solve(state: BipartiteState,
         step_a = res_a if d == 0.0 else _frobenius(new_a - rho_a)
         rho_a = new_a
 
-        raw_b, defect_b, min_b = _renormalized(to_b(_power(rho_a, k)), guard)
+        raw_b, defect_b, min_b = to_b(rho_a)
         new_b = raw_b if d == 0.0 else (1.0 - d) * raw_b + d * rho_b
         step_b = _frobenius(new_b - rho_b)
         # undamped, new_b is the finite raw_b, so this is exactly 0.0
         res_b = 0.0 if d == 0.0 else _frobenius(new_b - raw_b)
         rho_b = new_b
 
-        raw_a, next_defect_a, next_min_a = _renormalized(to_a(_power(rho_b, k)), guard)
+        raw_a, next_defect_a, next_min_a = to_a(rho_b)
         res_a = _frobenius(rho_a - raw_a)
 
         herm = max(herm, defect_a, defect_b)
@@ -238,8 +228,8 @@ def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
     # a candidate near the double limit overflows the weighting; the
     # guards or an inf distance report it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        fa, _, _ = _weighted_reduction(state.rho, state.dims, _power(b, k), "A", tol)
-        fb, _, _ = _weighted_reduction(state.rho, state.dims, _power(a, k), "B", tol)
+        fa = _half_step(state, "A", k, tol)(b)[0]
+        fb = _half_step(state, "B", k, tol)(a)[0]
         return _frobenius(a - fa), _frobenius(b - fb)
 
 

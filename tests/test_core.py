@@ -23,6 +23,7 @@ from qdisent.core import (
     _frobenius,
     _hermitize,
     _ptrace,
+    _ptrace_plan,
     density_defects,
     embed_local,
     hermitian_eigenvalues,
@@ -46,6 +47,12 @@ def test_tensor_product_matches_kron():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1j], [-1j, 0]])
     assert np.array_equal(tensor_product(a, b), np.kron(a, b))
+    with _raises_exactly(DimensionMismatch,
+                         "tensor product needs two matrices, got shapes (2,) and (2, 2)"):
+        tensor_product(np.ones(2), b)
+    with _raises_exactly(DimensionMismatch,
+                         "tensor product needs two matrices, got shapes (2, 2) and ()"):
+        tensor_product(a, 1.0)
 
 
 # entries a product can meet: random complex, exact zeros of every sign
@@ -82,8 +89,10 @@ def test_tensor_product_is_bit_identical_to_kron(ra, ca, rb, cb, seed, kind_a, k
     assert _same_bits(tensor_product(a, b), want)
 
 
+# a subsystem has at least 2 levels, here as in every state
 @settings(max_examples=100, deadline=None)
-@given(SIDES, SIDES, st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from(KINDS))
 def test_embed_local_is_bit_identical_to_kron_with_identity(n, rest, seed, kind):
     op = _matrix((n, n), seed, kind)
     arr = np.asarray(op, dtype=complex)
@@ -166,7 +175,7 @@ def test_weighted_ptrace_is_bit_identical_to_the_lifted_product(n_a, n_b, seed, 
     w = np.linalg.matrix_power(_weight(k, seed + 1, weight_kind), power)
     eye = np.eye(rest, dtype=complex)
     lift = np.kron(eye, w) if over == "B" else np.kron(w, eye)
-    got = _ptrace(m, n_a, n_b, over, weight=w)
+    got = _ptrace_plan(m, n_a, n_b, over)(w)
     assert _same_bits(got, _ptrace(m @ lift, n_a, n_b, over))
 
 
@@ -299,6 +308,14 @@ def test_embed_local_places_operator_on_requested_side():
         embed_local(op, "A", (3, 2))
     with _raises_exactly(ValueError, "side must be 'A' or 'B', got 'C'"):
         embed_local(op, "C", (2, 2))
+    # the dims rule of a state, checked before the op's shape
+    with _raises_exactly(DimensionMismatch,
+                         "both subsystem dimensions must be >= 2, got (1, 2)"):
+        embed_local(op, "A", (1, 2))
+    for dims in ((float("inf"), 2), ("a", 2)):
+        with _raises_exactly(DimensionMismatch,
+                             f"dims must be a pair of integers, got {dims!r}"):
+            embed_local(op, "A", dims)
 
 
 def test_hermitian_eigenvalues_sorted_and_guarded():

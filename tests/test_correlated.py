@@ -17,7 +17,7 @@ from qdisent.core import (
     NotPSDResult,
     ZeroDenominator,
     _hermitize,
-    _ptrace,
+    _ptrace_plan,
     partial_trace,
     product_state,
 )
@@ -28,7 +28,7 @@ from qdisent.correlated import (
     NonConvergence,
     PointerMethod,
     SolverConfig,
-    _weighted_reduction,
+    _half_step,
     correlated_local_state,
     disentanglement_report,
     fixed_point_residuals,
@@ -133,7 +133,8 @@ def test_tolerance_checks_fail_closed_on_nan():
     rho[0, 2] = rho[2, 0] = rho[1, 3] = rho[3, 1] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), _raises_exactly(
             NotPSDResult, "weighted reduction has eigenvalue nan is not finite"):
-        _weighted_reduction(rho, (2, 2), np.eye(2, dtype=complex), "A", 1e-9)
+        _half_step(SimpleNamespace(rho=rho, n_a=2, n_b=2), "A", 1, 1e-9)(
+            np.eye(2, dtype=complex))
     # a state that skipped validation, with a nan on its diagonal
     raw = SimpleNamespace(rho=np.diag([nan, 0.5, 0.25, 0.25]).astype(complex),
                           n_a=2, n_b=2)
@@ -261,10 +262,8 @@ def test_solver_summary_spans_every_sweep():
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     defects, eigs = [], []
     for _ in range(3):
-        new_a, defect_a, min_a = _weighted_reduction(
-            state.rho, state.dims, rho_b, "A", DEFAULT_TOL)
-        new_b, defect_b, min_b = _weighted_reduction(
-            state.rho, state.dims, new_a, "B", DEFAULT_TOL)
+        new_a, defect_a, min_a = _half_step(state, "A", 1, DEFAULT_TOL)(rho_b)
+        new_b, defect_b, min_b = _half_step(state, "B", 1, DEFAULT_TOL)(new_a)
         steps = np.linalg.norm(new_a - rho_a), np.linalg.norm(new_b - rho_b)
         defects += [defect_a, defect_b]
         eigs += [min_a, min_b]
@@ -292,10 +291,8 @@ def test_solver_summary_keeps_a_clamp_rounding_cannot_undo():
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     defects, eigs = [], []
     for _ in range(3):
-        new_a, defect_a, min_a = _weighted_reduction(
-            state.rho, state.dims, rho_b, "A", DEFAULT_TOL)
-        new_b, defect_b, min_b = _weighted_reduction(
-            state.rho, state.dims, new_a, "B", DEFAULT_TOL)
+        new_a, defect_a, min_a = _half_step(state, "A", 1, DEFAULT_TOL)(rho_b)
+        new_b, defect_b, min_b = _half_step(state, "B", 1, DEFAULT_TOL)(new_a)
         steps = np.linalg.norm(new_a - rho_a), np.linalg.norm(new_b - rho_b)
         defects += [defect_a, defect_b]
         eigs += [min_a, min_b]
@@ -310,9 +307,9 @@ def test_solver_summary_keeps_a_clamp_rounding_cannot_undo():
 
 
 def _reference_half_step(state, partner, over, k):
-    """One half-step written plainly: a one-shot ``_ptrace`` and ``np.linalg.eigh``."""
+    """One half-step written plainly: a one-shot ``_ptrace_plan`` and ``np.linalg.eigh``."""
     weight = partner if k == 1 else np.linalg.matrix_power(partner, k)
-    num = _ptrace(state.rho, state.n_a, state.n_b, over, weight=weight)
+    num = _ptrace_plan(state.rho, state.n_a, state.n_b, over)(weight)
     den = float(num.trace().real)
     assert den > DEFAULT_TOL
     defect, m = _hermitize(num / den)
@@ -366,6 +363,13 @@ def _same_field(x, y):
     return (type(x), repr(x)) == (type(y), repr(y))
 
 
+def _pure_or_random(dims, seed, pure):
+    if pure:
+        psi = random_ket(dims[0] * dims[1], seed)
+        return BipartiteState(np.outer(psi, psi.conj()), dims)
+    return random_state(dims, seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(DIMS | st.just((8, 8)), SEEDS, st.booleans(), st.integers(1, 3),
        st.sampled_from((0.0, 0.3)), st.sampled_from((3, SolverConfig.max_iter)))
@@ -377,11 +381,7 @@ def test_planned_sweep_matches_the_plain_reference(dims, seed, pure, m_power, da
     # norms an undamped sweep already knows; every field, both factors'
     # bytes and the NonConvergence text stay the plain sweep's.  Pure
     # states clamp their rank-deficient half-steps
-    if pure:
-        psi = random_ket(dims[0] * dims[1], seed)
-        state = BipartiteState(np.outer(psi, psi.conj()), dims)
-    else:
-        state = random_state(dims, seed)
+    state = _pure_or_random(dims, seed, pure)
     cfg = SolverConfig(max_iter=max_iter, damping=damping, m_power=m_power)
     want, want_text = reference_solve(state, cfg)
     try:
@@ -391,6 +391,27 @@ def test_planned_sweep_matches_the_plain_reference(dims, seed, pure, m_power, da
     assert got_text == want_text
     for f in dataclasses.fields(CorrelatedPair):
         assert _same_field(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(DIMS | st.just((8, 8)), SEEDS, st.booleans(), st.integers(1, 3))
+@example((3, 2), 1, True, 1)  # lifted dims; A's rank-deficient factor clamps
+@example((2, 3), 1, True, 3)  # lifted dims; B's rank-deficient factor clamps
+@example((4, 2), 1, True, 1)  # block route; A's factor clamps
+@example((3, 3), 1, False, 2)
+def test_one_shot_routes_match_the_plain_reference(dims, seed, pure, m):
+    # correlated_local_state and fixed_point_residuals apply the
+    # solver's half-step once: each factor and each distance keeps the
+    # plain half-step's bits, on either side
+    state = _pure_or_random(dims, seed, pure)
+    rho_a = random_density(dims[0], seed + 1)
+    rho_b = random_density(dims[1], seed + 2)
+    want_a = _reference_half_step(state, rho_b, "B", m)[0]
+    want_b = _reference_half_step(state, rho_a, "A", m)[0]
+    assert _same_field(correlated_local_state(state, rho_b, side="A", m=m), want_a)
+    assert _same_field(correlated_local_state(state, rho_a, side="B", m=m), want_b)
+    want = (float(np.linalg.norm(rho_a - want_a)), float(np.linalg.norm(rho_b - want_b)))
+    assert _same_field(fixed_point_residuals(state, rho_a, rho_b, m=m), want)
 
 
 def _solve_peak_kib(state, sweeps):

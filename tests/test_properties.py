@@ -575,7 +575,7 @@ BENCH_FAMILIES = ("random", "random_rank4", "separable", "pure_product", "near_p
 @settings(max_examples=50, deadline=None)
 @given(DIMS, SEEDS, st.sampled_from(BENCH_FAMILIES))
 # joint dims that are not a multiple of 4 take the lifted branch of
-# core._ptrace's weighted trace
+# core._ptrace_plan's weighted trace
 @example((2, 3), 0, "random")
 @example((3, 2), 0, "random")
 @example((3, 5), 0, "random")
