@@ -284,7 +284,8 @@ def tensor_product(a, b) -> np.ndarray:
 
     The same elementwise multiply ``np.kron`` does, broadcast over
     ``(a_row, b_row, a_col, b_col)``, so the bits match it, signed
-    zeros included, without its per-call shape bookkeeping.
+    zeros included, without its per-call shape bookkeeping.  An inf or
+    nan product is the result, so numpy's warnings about it are noise.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -292,7 +293,8 @@ def tensor_product(a, b) -> np.ndarray:
         raise DimensionMismatch(
             f"tensor product needs two matrices, got shapes {a.shape} and {b.shape}"
         )
-    out = a[:, None, :, None] * b[None, :, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a[:, None, :, None] * b[None, :, None, :]
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 

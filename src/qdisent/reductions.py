@@ -18,7 +18,7 @@ from .core import (
     _check_side,
     _frobenius,
     _guard,
-    _ptrace,
+    _ptrace_plan,
     partial_trace,
 )
 
@@ -42,9 +42,9 @@ def validate_outcome_probs(probs, n_b: int, tol: float = DEFAULT_TOL) -> np.ndar
 
 def averaged_projective_state(state: BipartiteState, probs,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Probability-weighted mix of the unnormalized B blocks, renormalized."""
+    """The B blocks mixed by ``probs``: the trace over B against diag(probs), renormalized."""
     v = validate_outcome_probs(probs, state.n_b, tol)
-    num = _ptrace(state.rho * np.tile(v, state.n_a), state.n_a, state.n_b, over="B")
+    num = _ptrace_plan(state.rho, state.n_a, state.n_b, "B")(np.diag(v))
     den = float(np.trace(num).real)
     _guard(den > tol, ZeroDenominator, "averaged trace", den, "is not above tol", tol)
     return num / den

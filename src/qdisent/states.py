@@ -42,6 +42,7 @@ _check_dims = functools.partial(_check_dims, exc=InvalidSpec, noun="subsystem di
 
 def random_ket(dim: int, seed=0) -> np.ndarray:
     """Normalized complex Gaussian vector."""
+    dim = _check_count(dim, "dim")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / _frobenius(v)
@@ -49,6 +50,7 @@ def random_ket(dim: int, seed=0) -> np.ndarray:
 
 def random_density(dim: int, seed=0) -> np.ndarray:
     """Full-rank random density matrix ``G G^dag / tr(G G^dag)``."""
+    dim = _check_count(dim, "dim")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
@@ -57,6 +59,7 @@ def random_density(dim: int, seed=0) -> np.ndarray:
 
 def random_unitary(dim: int, seed=0) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
+    dim = _check_count(dim, "dim")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -111,8 +114,9 @@ def random_state(dims=(2, 2), seed=0, tol: float = DEFAULT_TOL) -> BipartiteStat
     return BipartiteState(random_density(n_a * n_b, seed), (n_a, n_b), tol=tol)
 
 
-def _check_pointer(p: float, b: complex, tol: float) -> None:
-    """Raise InvalidPointer unless p sits in [0, 1] and |b|^2 <= p(1 - p) + tol."""
+def _check_pointer(p: float, b: complex, tol: float) -> tuple[float, complex]:
+    """``float(p), complex(b)``; InvalidPointer unless p in [0, 1], |b|^2 <= p(1 - p) + tol."""
+    p, b = float(p), complex(b)
     if not 0.0 <= p <= 1.0:
         raise InvalidPointer(f"p must sit in [0, 1], got {p}")
     try:
@@ -121,6 +125,7 @@ def _check_pointer(p: float, b: complex, tol: float) -> None:
         b2 = math.inf
     if not b2 <= p * (1.0 - p) + tol:
         raise InvalidPointer(f"|b|^2 = {b2:.3e} exceeds p(1-p) = {p * (1.0 - p):.3e}")
+    return p, b
 
 
 def coherent_pointer(p: float, b: complex = 0j, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -129,9 +134,7 @@ def coherent_pointer(p: float, b: complex = 0j, tol: float = DEFAULT_TOL) -> np.
     Positivity needs |b|^2 <= p(1 - p); anything beyond that (plus
     ``tol``) raises InvalidPointer.
     """
-    p = float(p)
-    b = complex(b)
-    _check_pointer(p, b, tol)
+    p, b = _check_pointer(p, b, tol)
     return np.array([[p, b], [b.conjugate(), 1.0 - p]], dtype=complex)
 
 

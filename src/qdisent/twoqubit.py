@@ -25,6 +25,7 @@ from .core import (
     BipartiteState,
     DimensionMismatch,
     ZeroDenominator,
+    _check_count,
     _guard,
     tensor_product,
 )
@@ -47,19 +48,19 @@ def _as_two_qubit(rho) -> np.ndarray:
 
 
 def _normalized(rho, p: float, b: complex, tol: float, terms) -> np.ndarray:
-    """Check state and pointer, then divide the numerator ``terms(r)`` by its weight.
+    """Check state and pointer, then divide the numerator ``terms(r, p, b)`` by its weight.
 
-    The weight is tr(rho (I x sigma)) for the pointer [[p, b], [b*, 1-p]].
-    At ``b = 0j`` its coherent terms add signed zeros, so a finite weight
-    keeps its value.
+    The weight is tr(rho (I x sigma)) for the pointer [[p, b], [b*, 1-p]],
+    both computed with the checked p and b.  At ``b = 0j`` its coherent
+    terms add signed zeros, so a finite weight keeps its value.
     """
     r = _as_two_qubit(rho)
-    _check_pointer(p, b, tol)
+    p, b = _check_pointer(p, b, tol)
     q, bc = 1.0 - p, np.conj(b)
     # entries near the double limit overflow to inf and nan here; _guard
     # then reports the weight, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        num = terms(r)
+        num = terms(r, p, b)
         den = float((p * (r[0, 0] + r[2, 2]) + q * (r[1, 1] + r[3, 3])
                      + b * (r[1, 0] + r[3, 2]) + bc * (r[0, 1] + r[2, 3])).real)
     _guard(den > tol, ZeroDenominator, "normalization", den, "is not above tol", tol)
@@ -124,8 +125,8 @@ def diagonal_pointer_product(rho, p: float, tol: float = DEFAULT_TOL,
     has ``rho[3, 1]``.  That variant no longer factors; it is kept so
     the bench can report how far off it lands.
     """
-    def terms(r):
-        n = _coherent_product_terms(r, p, 0j, False)
+    def terms(r, p, b):
+        n = _coherent_product_terms(r, p, b, False)
         if literal:
             q = 1.0 - p
             n[3, 1] = p * q * r[2, 0] + q * q * r[1, 1]
@@ -137,7 +138,7 @@ def diagonal_pointer_product(rho, p: float, tol: float = DEFAULT_TOL,
 def coherent_pointer_local(rho, p: float, b: complex = 0j,
                            tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced A-factor against the pointer [[p, b], [b*, 1-p]], written out."""
-    return _normalized(rho, p, b, tol, lambda r: _coherent_local_terms(r, p, b))
+    return _normalized(rho, p, b, tol, _coherent_local_terms)
 
 
 def coherent_pointer_product(rho, p: float, b: complex = 0j,
@@ -150,7 +151,7 @@ def coherent_pointer_product(rho, p: float, b: complex = 0j,
     factoring; the bench reports that deviation separately.
     """
     return _normalized(rho, p, b, tol,
-                       lambda r: _coherent_product_terms(r, p, b, literal))
+                       lambda r, p, b: _coherent_product_terms(r, p, b, literal))
 
 
 class BenchRow(NamedTuple):
@@ -170,6 +171,7 @@ def transcription_bench(cases: int = 1000, seed: int = 0) -> list[BenchRow]:
     the matching local route tensored with the pointer.  The two
     literal variants are reported but not held to the gate.
     """
+    cases = _check_count(cases, "cases")
     rng = np.random.default_rng(seed)
     labels = ("diagonal local", "diagonal product", "coherent local",
               "coherent product", "diagonal product literal",
@@ -181,7 +183,7 @@ def transcription_bench(cases: int = 1000, seed: int = 0) -> list[BenchRow]:
         if dev > worst[label]:
             worst[label] = dev
 
-    for _ in range(int(cases)):
+    for _ in range(cases):
         state = random_state((2, 2), rng)
         p = float(rng.uniform(0.05, 0.95))
         frac = float(rng.uniform(0.0, 0.9))
@@ -207,5 +209,5 @@ def transcription_bench(cases: int = 1000, seed: int = 0) -> list[BenchRow]:
 
     gated = {"diagonal local", "diagonal product", "coherent local",
              "coherent product"}
-    return [BenchRow(label, int(cases), worst[label], label in gated)
+    return [BenchRow(label, cases, worst[label], label in gated)
             for label in labels]

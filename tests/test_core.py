@@ -53,6 +53,11 @@ def test_tensor_product_matches_kron():
     with _raises_exactly(DimensionMismatch,
                          "tensor product needs two matrices, got shapes (2, 2) and ()"):
         tensor_product(a, 1.0)
+    # inf and nan products are the result, with no numpy warning
+    inf = np.full((2, 2), np.inf)
+    got = tensor_product(inf, np.eye(2))
+    assert np.isinf(got[0, 0]) and np.isnan(got[0, 1].real)
+    assert np.isinf(tensor_product(np.full((2, 2), 1e308), np.full((2, 2), 1e308))).all()
 
 
 # entries a product can meet: random complex, exact zeros of every sign

@@ -6,6 +6,7 @@ from qdisent.core import (
     DimensionMismatch,
     InvalidSpec,
     ZeroDenominator,
+    _ptrace,
     partial_trace,
 )
 from qdisent.reductions import (
@@ -14,7 +15,7 @@ from qdisent.reductions import (
     neumann_reduce,
     validate_outcome_probs,
 )
-from qdisent.states import bell_state, random_state
+from qdisent.states import bell_state, random_ket, random_state
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -65,3 +66,31 @@ def test_neumann_equivalence_gap():
     assert abs(gap - 0.4 * np.sqrt(2.0)) < 1e-12
     uniform = neumann_equivalence_gap(bell, np.array([0.5, 0.5]))
     assert uniform < 1e-15
+
+
+def _reference_averaged(state, v):
+    """The averaged state the plain way: weight each B column of rho, then trace B out."""
+    num = _ptrace(state.rho * np.tile(v, state.n_a), state.n_a, state.n_b, "B")
+    return num / float(np.trace(num).real)
+
+
+# the joint dims 6, 9, 15 and 21 take the plan's lifted branch, the rest its block route
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 2), (3, 5), (7, 3),
+                                  (4, 4), (8, 8)], ids="{0[0]}x{0[1]}".format)
+def test_averaged_state_is_the_planned_weighted_trace_bit_for_bit(dims):
+    n_a, n_b = dims
+    rng = np.random.default_rng(n_a * 10 + n_b)
+    for seed in range(6):
+        if seed % 2:
+            ket = random_ket(n_a * n_b, seed)
+            state = BipartiteState(np.outer(ket, ket.conj()), dims)
+        else:
+            state = random_state(dims, seed=seed)
+        v = rng.random(n_b)
+        if seed < 4:
+            v[seed % n_b] = 0.0  # an outcome that never counts
+        v /= v.sum()
+        got = averaged_projective_state(state, v)
+        ref = _reference_averaged(state, v)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()

@@ -82,6 +82,20 @@ def test_random_unitary_is_unitary():
         assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-12
 
 
+def test_random_generators_check_their_dim():
+    # the count rule: no empty draw for 0, no numpy or attribute error
+    for draw in (random_ket, random_density, random_unitary):
+        with _raises_exactly(ValueError, "dim must be >= 1, got 0"):
+            draw(0)
+        with _raises_exactly(ValueError, "dim must be >= 1, got -1"):
+            draw(-1)
+        with _raises_exactly(ValueError, "dim must be an integer, got None"):
+            draw(None)
+        with _raises_exactly(ValueError, "dim must be an integer, got inf"):
+            draw(float("inf"))
+        assert draw(1).shape[0] == 1
+
+
 def test_coherent_pointer_positivity_bound():
     ptr = coherent_pointer(0.5, 0.3 + 0.2j)
     validate_density(ptr)

@@ -16,6 +16,8 @@ from qdisent.twoqubit import (
     transcription_bench,
 )
 
+from test_correlated import _raises_exactly
+
 
 def _cases(n):
     rng = np.random.default_rng(42)
@@ -117,6 +119,39 @@ def test_pointer_validation():
     assert np.abs(table - neumann_reduce(state, "A")).max() < 1e-15
 
 
+def test_numpy_scalar_pointers_give_the_python_table_bits():
+    # the tables compute with the checked float(p) and complex(b), so a
+    # numpy scalar pointer is the Python pointer of its value, bit for bit,
+    # in single precision too
+    cases = [(state, np_p, np_b)
+             for state, p, b in _cases(20)
+             for np_p, np_b in ((np.float64(p), np.complex128(b)),
+                                (np.float32(p), np.complex64(b)))]
+    for state, np_p, np_b in cases:
+        p, py = float(np_p), complex(np_b)
+        for got, want in (
+            (coherent_pointer_local(state.rho, np_p, np_b),
+             coherent_pointer_local(state.rho, p, py)),
+            (coherent_pointer_product(state.rho, np_p, np_b, literal=True),
+             coherent_pointer_product(state.rho, p, py, literal=True)),
+            (coherent_pointer_product(state.rho, np_p, np_b),
+             coherent_pointer_product(state.rho, p, py)),
+            (diagonal_pointer_local(state.rho, np_p), diagonal_pointer_local(state.rho, p)),
+            (diagonal_pointer_product(state.rho, np_p, literal=True),
+             diagonal_pointer_product(state.rho, p, literal=True)),
+        ):
+            assert got.tobytes() == want.tobytes()
+    # |b|^2 of a numpy double near the limit overflows; the check reports
+    # it as an invalid pointer, and numpy raises no warning
+    rho = random_state((2, 2), seed=3).rho
+    for table in (coherent_pointer_local, coherent_pointer_product):
+        with _raises_exactly(InvalidPointer, "|b|^2 = inf exceeds p(1-p) = 2.500e-01"):
+            table(rho, 0.5, np.float64(1e308))
+    # an int p is checked as the float it is converted to
+    with _raises_exactly(InvalidPointer, "p must sit in [0, 1], got 2.0"):
+        diagonal_pointer_local(rho, 2)
+
+
 def test_zero_denominator_guard():
     e1 = np.array([0.0, 1.0])
     rho = np.kron(np.eye(2) / 2, np.outer(e1, e1)).astype(complex)
@@ -155,6 +190,15 @@ def test_transcription_bench_rows():
             assert row.max_deviation > 1e-6  # the misprint is visible
     assert not by_label["diagonal product literal"].gated
     assert not by_label["coherent product literal"].gated
+
+
+def test_transcription_bench_checks_its_count():
+    # checked before any work: no OverflowError, no rows over no cases
+    for cases, text in ((0, "cases must be >= 1, got 0"), (-1, "cases must be >= 1, got -1"),
+                        (float("inf"), "cases must be an integer, got inf"),
+                        (None, "cases must be an integer, got None")):
+        with _raises_exactly(ValueError, text):
+            transcription_bench(cases)
 
 
 def test_transcription_bench_deterministic():
