@@ -33,6 +33,7 @@ from .core import (
     BipartiteState,
     QDisentError,
     _bipartite_matrix,
+    _check_count,
     _require_density,
     density_defects,
 )
@@ -338,11 +339,11 @@ def cmd_disentangle(args) -> int:
     _check_tol(args.tol, "--tol", args.tol)
     for name, value in (("--p", args.p), ("--b-re", args.b_re), ("--b-im", args.b_im)):
         _check_finite(value, name, value)
-    _check_at_least(args.max_iter, 1, "--max-iter")
+    _check_count(args.max_iter, "--max-iter", _CliError)
     _check_at_most(args.max_iter, DISENTANGLE_MAX_ITER, "--max-iter")
     if not 0.0 <= args.damping < 1.0:
         raise _CliError(f"--damping must sit in [0, 1), got {args.damping}")
-    _check_at_least(args.m, 1, "--m")
+    _check_count(args.m, "--m", _CliError)
     spec = _method_spec(args)
     echo = (f"disentangle --method {args.method} --p {format_real(args.p)}"
             f" --b-re {format_real(args.b_re)} --b-im {format_real(args.b_im)}"
@@ -401,7 +402,7 @@ def _short(x: float) -> str:
 
 
 def cmd_bench2q(args) -> int:
-    _check_at_least(args.cases, 1, "--cases")
+    _check_count(args.cases, "--cases", _CliError)
     _check_at_most(args.cases, BENCH2Q_MAX_CASES, "--cases")
     _check_at_least(args.seed, 0, "--seed")
     rows = transcription_bench(cases=args.cases, seed=args.seed)

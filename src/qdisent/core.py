@@ -198,24 +198,32 @@ def validate_density(rho, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def _check_dims(dims, exc: type[QDisentError] = DimensionMismatch,
                 noun: str = "both subsystem dimensions") -> tuple[int, int]:
-    """``dims`` as two ints each >= 2, else ``exc`` (its ">= 2" text led by ``noun``)."""
+    """``dims`` as two ints each >= 2, else ``exc`` (its ">= 2" text led by ``noun``).
+
+    Each dim must equal its int, so 2.5 is no dim; ``dims`` is read once.
+    """
     try:
-        n_a, n_b = (int(d) for d in dims)
+        pair = tuple(dims)
+        n_a, n_b = (int(d) for d in pair)
     except (TypeError, ValueError, OverflowError):
         raise exc(f"dims must be a pair of integers, got {dims!r}") from None
     if n_a < 2 or n_b < 2:
         raise exc(f"{noun} must be >= 2, got ({n_a}, {n_b})")
+    if (n_a, n_b) != pair:
+        raise exc(f"dims must be a pair of integers, got {dims!r}")
     return n_a, n_b
 
 
 def _check_count(value, name: str, exc: type[Exception] = ValueError) -> int:
-    """``int(value)``, or ``exc`` quoting ``value`` if it has no int or one below 1."""
+    """``int(value)``, or ``exc`` quoting ``value`` unless that int is >= 1 and equals it."""
     try:
         k = int(value)
     except (TypeError, ValueError, OverflowError):
         raise exc(f"{name} must be an integer, got {value!r}") from None
     if k < 1:
         raise exc(f"{name} must be >= 1, got {value}")
+    if k != value:
+        raise exc(f"{name} must be an integer, got {value!r}")
     return k
 
 

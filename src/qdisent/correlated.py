@@ -144,13 +144,16 @@ class CorrelatedPair:
             object.__setattr__(self, name, arr)
 
 
-def _check_config(cfg: SolverConfig) -> None:
-    if not 0.0 <= float(cfg.damping) < 1.0:
+def _check_config(cfg: SolverConfig) -> SolverConfig:
+    """``cfg`` with each setting the float or int the solve runs with, else ValueError."""
+    damping = float(cfg.damping)
+    if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must sit in [0, 1), got {cfg.damping}")
-    _check_count(cfg.max_iter, "max_iter")
-    if not float(cfg.tol) > 0.0:
+    max_iter = _check_count(cfg.max_iter, "max_iter")
+    tol = float(cfg.tol)
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {cfg.tol}")
-    _check_count(cfg.m_power, "m_power")
+    return SolverConfig(tol, max_iter, damping, _check_count(cfg.m_power, "m_power"))
 
 
 def fixed_point_solve(state: BipartiteState,
@@ -165,13 +168,12 @@ def fixed_point_solve(state: BipartiteState,
     (smallest max residual) attached, its steps, defect and eigenvalue
     summary taken over all sweeps as on the converged path.
     """
-    cfg = config if config is not None else SolverConfig()
-    _check_config(cfg)
+    cfg = _check_config(config if config is not None else SolverConfig())
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
-    d = float(cfg.damping)
+    d = cfg.damping
     # each factor's half-step, set up once for every sweep; DEFAULT_TOL
     # guards its denominator and positivity, not the convergence tol
-    to_a, to_b = (_half_step(state, side, int(cfg.m_power), DEFAULT_TOL) for side in "AB")
+    to_a, to_b = (_half_step(state, side, cfg.m_power, DEFAULT_TOL) for side in "AB")
 
     herm, low = 0.0, np.inf
     best = None
@@ -181,7 +183,7 @@ def fixed_point_solve(state: BipartiteState,
     raw_a, defect_a, min_a = to_a(rho_b)
     res_a = _frobenius(rho_a - raw_a)
 
-    for it in range(1, int(cfg.max_iter) + 1):
+    for it in range(1, cfg.max_iter + 1):
         new_a = raw_a if d == 0.0 else (1.0 - d) * raw_a + d * rho_a
         # undamped, the step is the current pair's residual_a bit for bit:
         # ||x - y|| and ||y - x|| square the same values
@@ -210,7 +212,7 @@ def fixed_point_solve(state: BipartiteState,
         defect_a, min_a = next_defect_a, next_min_a
 
     ba, bb, ra, rb, bit = best
-    payload = CorrelatedPair(ba, bb, ra, rb, int(cfg.max_iter), False,
+    payload = CorrelatedPair(ba, bb, ra, rb, cfg.max_iter, False,
                              step_a, step_b, herm, low)
     raise NonConvergence(
         f"no convergence after {cfg.max_iter} sweeps; best residuals "

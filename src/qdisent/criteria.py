@@ -199,19 +199,7 @@ class SeparabilityVerdict:
 
 def separability_verdict(state: BipartiteState, mode: str = "standard",
                          tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
-    ppt = ppt_test(state, tol)
-    red = reduction_criterion_test(state, mode=mode, tol=tol)
-    sub = subadditivity_check(state, tol=tol)
-    return SeparabilityVerdict(
-        ppt_min_eig=ppt.min_eigenvalue,
-        ppt_pass=ppt.passed,
-        red_min_eig_a=red.min_eigenvalue_a,
-        red_min_eig_b=red.min_eigenvalue_b,
-        red_pass=red.passed,
-        red_mode=mode,
-        entropy_ab=sub.entropy_ab,
-        entropy_a=sub.entropy_a,
-        entropy_b=sub.entropy_b,
-        subadditivity_pass=sub.subadditive,
-        araki_lieb_pass=sub.araki_lieb,
-    )
+    # the three results' fields, in order, with the mode, are the verdict's
+    return SeparabilityVerdict(*ppt_test(state, tol),
+                               *reduction_criterion_test(state, mode=mode, tol=tol),
+                               mode, *subadditivity_check(state, tol=tol))

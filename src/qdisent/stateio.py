@@ -303,14 +303,10 @@ def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:
     """The document of ``state``: ``rho`` is ``state.rho`` itself, not a copy."""
     doc: dict = {"dims": [state.n_a, state.n_b], "rho": state.rho}
     if meta:
-        if not isinstance(meta, dict):
+        if not isinstance(meta, dict) or not all(
+                isinstance(key, str) and isinstance(val, str) for key, val in meta.items()):
             raise StateFormatError("meta must map strings to strings")
-        clean = {}
-        for key, val in meta.items():
-            if not isinstance(key, str) or not isinstance(val, str):
-                raise StateFormatError("meta must map strings to strings")
-            clean[key] = val
-        doc["meta"] = clean
+        doc["meta"] = dict(meta)
     return doc
 
 

@@ -287,10 +287,20 @@ def test_bipartite_state_validates_dims():
     with pytest.raises(DimensionMismatch):
         BipartiteState(np.eye(4) / 4, (2, 3))
     inf, nan = float("inf"), float("nan")
-    for bad in (("a", "b"), (2,), None, (inf, 2), (2, -inf), (nan, 2)):
+    for bad in (("a", "b"), (2,), None, (inf, 2), (2, -inf), (nan, 2), (2.5, 2)):
         with _raises_exactly(DimensionMismatch,
                              f"dims must be a pair of integers, got {bad!r}"):
             BipartiteState(np.eye(4) / 4, bad)
+
+
+def test_a_whole_number_is_a_count_or_a_dim_whatever_its_type():
+    for value in (3, 3.0, np.float64(3.0), np.int64(3), np.uint8(3)):
+        k = core._check_count(value, "k")
+        assert type(k) is int and k == 3
+    assert core._check_count(True, "k") == 1
+    # dims are read once, so a one-shot iterable works
+    dims = BipartiteState(np.eye(4) / 4, iter((2.0, np.int64(2)))).dims
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
 
 
 def test_bipartite_state_is_frozen_and_read_only():
@@ -317,7 +327,7 @@ def test_embed_local_places_operator_on_requested_side():
     with _raises_exactly(DimensionMismatch,
                          "both subsystem dimensions must be >= 2, got (1, 2)"):
         embed_local(op, "A", (1, 2))
-    for dims in ((float("inf"), 2), ("a", 2)):
+    for dims in ((float("inf"), 2), ("a", 2), (2, 2.7)):
         with _raises_exactly(DimensionMismatch,
                              f"dims must be a pair of integers, got {dims!r}"):
             embed_local(op, "A", dims)

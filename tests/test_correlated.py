@@ -98,6 +98,8 @@ def test_correlated_local_state_argument_checks():
     for m in (0, 0.5):
         with _raises_exactly(ValueError, f"m must be >= 1, got {m}"):
             correlated_local_state(state, np.eye(2) / 2, m=m)
+    with _raises_exactly(ValueError, "m must be an integer, got 2.5"):
+        correlated_local_state(state, np.eye(2) / 2, m=2.5)
     with pytest.raises(DimensionMismatch):
         correlated_local_state(state, np.eye(3) / 3, side="A")
 
@@ -167,6 +169,8 @@ def test_fixed_point_residuals_argument_checks():
     for m in (0, -1):
         with _raises_exactly(ValueError, f"m must be >= 1, got {m}"):
             fixed_point_residuals(state, rho_a, rho_b, m=m)
+    with _raises_exactly(ValueError, "m must be an integer, got 2.5"):
+        fixed_point_residuals(state, rho_a, rho_b, m=2.5)
     for a, b in ((rho_b, rho_a), (np.eye(3) / 3, rho_b), (rho_a, rho_a),
                  (np.ones(2) / 2, rho_b)):
         with pytest.raises(DimensionMismatch):
@@ -196,6 +200,8 @@ def test_solver_config_validation():
             (SolverConfig(max_iter=None), "max_iter must be an integer, got None"),
             (SolverConfig(m_power=float("nan")), "m_power must be an integer, got nan"),
             (SolverConfig(m_power="x"), "m_power must be an integer, got 'x'"),
+            (SolverConfig(max_iter=2.5), "max_iter must be an integer, got 2.5"),
+            (SolverConfig(m_power=1.5), "m_power must be an integer, got 1.5"),
             # checked in that order: damping, max_iter, tol, m_power
             (SolverConfig(damping=1.0, max_iter=0), "damping must sit in [0, 1), got 1.0"),
             (SolverConfig(max_iter=0.5, tol=0.0, m_power=0), "max_iter must be >= 1, got 0.5"),
@@ -251,6 +257,22 @@ def test_non_convergence_carries_best_iterate():
     # the attached pair is still a usable (normalized, PSD) candidate
     assert abs(np.trace(best.rho_a).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(best.rho_b)[0] > -1e-12
+
+
+def test_solver_runs_with_the_settings_it_checked():
+    # each setting runs as the float or int its check read: a numeric
+    # string tol solves as its float, and a max_iter of 2.0 or True
+    # names the int count of sweeps the loop ran
+    state = random_state((2, 2), seed=5)
+    want = fixed_point_solve(state, SolverConfig(tol=1e-12))
+    got = fixed_point_solve(state, SolverConfig(tol="1e-12"))
+    for f in dataclasses.fields(CorrelatedPair):
+        assert _same_field(getattr(got, f.name), getattr(want, f.name)), f.name
+    for max_iter, sweeps in ((np.float64(2.0), 2), (True, 1)):
+        with pytest.raises(NonConvergence,
+                           match=f"^no convergence after {sweeps} sweeps; ") as err:
+            fixed_point_solve(state, SolverConfig(max_iter=max_iter))
+        assert _same_field(err.value.best.iterations, sweeps)
 
 
 def test_solver_summary_spans_every_sweep():

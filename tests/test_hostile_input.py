@@ -23,6 +23,8 @@ from qdisent.states import random_state
 
 STATE = random_state((2, 2), seed=1)
 RHO = STATE.rho
+# its solve converges in the first sweep, so any max_iter that is a count returns
+MIXED = q.maximally_mixed()
 HALF = np.eye(2) / 2
 PAULI_Z = np.diag([1.0, -1.0])
 BUDGET_S = 2.0  # per call: each is a check or a 2x2 / 4x4 computation
@@ -35,6 +37,7 @@ def _values(n: int) -> list[tuple[str, object]]:
         ("inf", math.inf),
         ("-inf", -math.inf),
         ("1e308", 1e308),
+        ("2.5", 2.5),
         ("np1e308", np.float64(1e308)),
         ("zero", 0),
         ("minus_one", -1),
@@ -110,10 +113,16 @@ ENTRIES = [
      lambda x: q.correlated_local_state(STATE, HALF, "A", x), True),
     ("disentanglement_report", 2, lambda x: q.disentanglement_report(STATE, x), False),
     ("fixed_point_residuals", 2, lambda x: q.fixed_point_residuals(STATE, x, HALF), False),
+    ("fixed_point_residuals.m", 2,
+     lambda x: q.fixed_point_residuals(STATE, HALF, HALF, x), True),
     ("fixed_point_solve.damping", 2,
      lambda x: q.fixed_point_solve(STATE, q.SolverConfig(damping=x)), False),
     ("fixed_point_solve.tol", 2,
      lambda x: q.fixed_point_solve(STATE, q.SolverConfig(tol=x)), False),
+    ("fixed_point_solve.max_iter", 2,
+     lambda x: q.fixed_point_solve(MIXED, q.SolverConfig(max_iter=x)), True),
+    ("fixed_point_solve.m_power", 2,
+     lambda x: q.fixed_point_solve(STATE, q.SolverConfig(m_power=x)), True),
     # twoqubit
     ("coherent_pointer_local.rho", 4, lambda x: q.coherent_pointer_local(x, 0.5, 0.1), False),
     ("coherent_pointer_local.p", 2, lambda x: q.coherent_pointer_local(RHO, x), False),

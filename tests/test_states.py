@@ -93,6 +93,8 @@ def test_random_generators_check_their_dim():
             draw(None)
         with _raises_exactly(ValueError, "dim must be an integer, got inf"):
             draw(float("inf"))
+        with _raises_exactly(ValueError, "dim must be an integer, got 2.9"):
+            draw(2.9)
         assert draw(1).shape[0] == 1
 
 
@@ -129,9 +131,9 @@ def test_generate_dispatch_and_errors():
             generate(GenSpec(kind="separable_mixture", k_terms=k))
     # a count or a dim with no int fails as the recipe's own error
     inf, nan = float("inf"), float("nan")
-    for k in (nan, inf, None, "x"):
+    for k in (nan, inf, None, "x", 2.5):
         with _raises_exactly(InvalidSpec, f"k_terms must be an integer, got {k!r}"):
             generate(GenSpec(kind="separable_mixture", k_terms=k))
-    for dims in ((inf, 2), (2, nan)):
+    for dims in ((inf, 2), (2, nan), (2.9, 2)):
         with _raises_exactly(InvalidSpec, f"dims must be a pair of integers, got {dims!r}"):
             generate(GenSpec(kind="random", dims=dims))

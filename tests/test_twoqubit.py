@@ -196,7 +196,8 @@ def test_transcription_bench_checks_its_count():
     # checked before any work: no OverflowError, no rows over no cases
     for cases, text in ((0, "cases must be >= 1, got 0"), (-1, "cases must be >= 1, got -1"),
                         (float("inf"), "cases must be an integer, got inf"),
-                        (None, "cases must be an integer, got None")):
+                        (None, "cases must be an integer, got None"),
+                        (1.9, "cases must be an integer, got 1.9")):
         with _raises_exactly(ValueError, text):
             transcription_bench(cases)
 
