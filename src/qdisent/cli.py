@@ -32,8 +32,8 @@ from .core import (
     DEFAULT_TOL,
     BipartiteState,
     QDisentError,
-    _bipartite_matrix,
     _check_count,
+    _check_dims,
     _require_density,
     density_defects,
 )
@@ -257,7 +257,7 @@ def _validate_item(path: str, item: dict, tol: float) -> int:
             check = density_defects(rho)
             item.update((key, value) for key, value in
                         dataclasses.asdict(check).items() if math.isfinite(value))
-        _bipartite_matrix(rho, dims)
+        _check_dims(dims)
         _require_density(check, tol)
     except _ITEM_ERRORS:
         # ``valid`` comes before the ``error`` that _run_batch records

@@ -12,11 +12,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-
-try:  # the gufuncs behind np.linalg.eigh and eigvalsh (see _eigh)
-    from numpy.linalg import _umath_linalg
-except ImportError:  # a numpy that moved its private module
-    _umath_linalg = None
+from numpy.linalg import _umath_linalg  # the gufuncs behind eigh and eigvalsh
 
 DEFAULT_TOL = 1e-9
 
@@ -135,11 +131,8 @@ def _eigh(m: np.ndarray, vectors: bool = True):
 
     The wrapper's gufunc on the same square complex array, so the same
     bits, without its per-call checks; under its error state, so a
-    LAPACK non-convergence raises LinAlgError and warns nothing.  A
-    numpy without the private module takes the public functions.
+    LAPACK non-convergence raises LinAlgError and warns nothing.
     """
-    if _umath_linalg is None:
-        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
     with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         if vectors:
@@ -234,18 +227,6 @@ def _check_side(value, name: str) -> str:
     return value
 
 
-def _bipartite_matrix(rho, dims) -> tuple[np.ndarray, tuple[int, int]]:
-    """Check ``dims`` and the shape of ``rho`` against them; return both as used."""
-    n_a, n_b = _check_dims(dims)
-    m = _as_square(rho, "rho")
-    if m.shape != (n_a * n_b, n_a * n_b):
-        raise DimensionMismatch(
-            f"rho has shape {m.shape}, expected {(n_a * n_b, n_a * n_b)} "
-            f"for dims ({n_a}, {n_b})"
-        )
-    return m, (n_a, n_b)
-
-
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
     """A validated density matrix on a two-part system.
@@ -263,7 +244,13 @@ class BipartiteState:
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol: float):
-        m, dims = _bipartite_matrix(self.rho, self.dims)
+        n_a, n_b = dims = _check_dims(self.dims)
+        m = _as_square(self.rho, "rho")
+        if m.shape != (n_a * n_b, n_a * n_b):
+            raise DimensionMismatch(
+                f"rho has shape {m.shape}, expected {(n_a * n_b, n_a * n_b)} "
+                f"for dims ({n_a}, {n_b})"
+            )
         check, w = _density_spectrum(m)
         _require_density(check, tol)
         m = np.array(m)
@@ -285,6 +272,13 @@ class BipartiteState:
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
+
+
+def _check_state(state) -> BipartiteState:
+    """``state`` if it is a BipartiteState, else TypeError naming the type it got."""
+    if not isinstance(state, BipartiteState):
+        raise TypeError(f"state must be a BipartiteState, got {type(state).__name__}")
+    return state
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -371,14 +365,15 @@ def _ptrace_plan(m: np.ndarray, n_a: int, n_b: int, over: str):
 
 def partial_trace(state: BipartiteState, over: str = "B") -> np.ndarray:
     """Trace out one subsystem; ``over='B'`` keeps the A factor."""
-    return _ptrace(state.rho, state.n_a, state.n_b, _check_side(over, "over"))
+    return _ptrace(_check_state(state).rho, state.n_a, state.n_b, _check_side(over, "over"))
 
 
 def partial_transpose(state: BipartiteState, on: str = "A") -> np.ndarray:
     """Transpose one tensor factor, leaving the other untouched."""
-    r = state.rho.reshape(state.n_a, state.n_b, state.n_a, state.n_b)
+    r = _check_state(state).rho.reshape(state.n_a, state.n_b, state.n_a, state.n_b)
     axes = (2, 1, 0, 3) if _check_side(on, "on") == "A" else (0, 3, 2, 1)
-    return r.transpose(axes).reshape(state.dim, state.dim).copy()
+    # reshaping the transposed view copies it: a fresh, writable array
+    return r.transpose(axes).reshape(state.dim, state.dim)
 
 
 def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:

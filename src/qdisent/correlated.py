@@ -26,6 +26,7 @@ from .core import (
     _check_count,
     _check_local,
     _check_side,
+    _check_state,
     _eigh,
     _frobenius,
     _guard,
@@ -94,7 +95,8 @@ def correlated_local_state(state: BipartiteState, pointer, side: str = "A",
         Power applied to the pointer before weighting.  The heuristic
         bound ``min(dims)**2 - 1`` is not enforced.
     """
-    partner_dim = state.n_b if _check_side(side, "side") == "A" else state.n_a
+    n_a, n_b = _check_state(state).dims
+    partner_dim = n_b if _check_side(side, "side") == "A" else n_a
     k = _check_count(m, "m")
     sigma = _check_local(validate_density(pointer, tol), partner_dim, "pointer")
     return _half_step(state, side, k, tol)(sigma)[0]
@@ -225,7 +227,7 @@ def fixed_point_residuals(state: BipartiteState, rho_a, rho_b, m: int = 1,
                           tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Re-substitution distances of a candidate pair under the coupled maps."""
     k = _check_count(m, "m")
-    a = _check_local(np.asarray(rho_a, dtype=complex), state.n_a, "rho_a")
+    a = _check_local(np.asarray(rho_a, dtype=complex), _check_state(state).n_a, "rho_a")
     b = _check_local(np.asarray(rho_b, dtype=complex), state.n_b, "rho_b")
     # a candidate near the double limit overflows the weighting; the
     # guards or an inf distance report it, so numpy's warnings are noise
@@ -257,7 +259,7 @@ class PointerMethod:
 
     def factors(self, state: BipartiteState, tol: float):
         """Return (factor_a, pointer, None); B must be a qubit."""
-        if state.n_b != 2:
+        if _check_state(state).n_b != 2:
             raise DimensionMismatch(
                 f"pointer method needs n_b = 2, got n_b = {state.n_b}"
             )

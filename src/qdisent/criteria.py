@@ -13,6 +13,7 @@ from .core import (
     DimensionMismatch,
     NotPSD,
     _check_local,
+    _check_state,
     _eigh,
     _guard,
     embed_local,
@@ -46,7 +47,7 @@ def von_neumann_entropy(rho, tol: float = DEFAULT_TOL) -> float:
 
 def _state_entropy(state: BipartiteState, tol: float) -> float:
     """``von_neumann_entropy(state.rho, tol)``, from the spectrum validation kept, if any."""
-    w = state._spectrum
+    w = _check_state(state)._spectrum
     # a kept spectrum means a zero hermiticity defect, which only a
     # negative tol rejects
     if w is None or tol < 0.0:
@@ -143,7 +144,7 @@ def witness_expectation(state: BipartiteState, observable,
                         tol: float = DEFAULT_TOL) -> float:
     """Real expectation tr(rho W) of a hermitian W on the joint space."""
     w = validate_observable(observable, tol)
-    if w.shape != state.rho.shape:
+    if w.shape != _check_state(state).rho.shape:
         raise DimensionMismatch(
             f"witness shape {w.shape} does not match state shape {state.rho.shape}"
         )
@@ -163,7 +164,7 @@ def correlation_gap(state: BipartiteState, obs_a, obs_b,
     Zero gap for every observable pair is what a product state looks
     like; a nonzero gap quantifies correlation in these observables.
     """
-    a = _check_local(validate_observable(obs_a, tol), state.n_a, "obs_a")
+    a = _check_local(validate_observable(obs_a, tol), _check_state(state).n_a, "obs_a")
     b = _check_local(validate_observable(obs_b, tol), state.n_b, "obs_b")
     joint = _real_expectation(state.rho, tensor_product(a, b))
     mean_a = _real_expectation(state.rho, embed_local(a, "A", state.dims))

@@ -16,6 +16,7 @@ from .core import (
     InvalidSpec,
     ZeroDenominator,
     _check_side,
+    _check_state,
     _frobenius,
     _guard,
     _ptrace_plan,
@@ -43,7 +44,7 @@ def validate_outcome_probs(probs, n_b: int, tol: float = DEFAULT_TOL) -> np.ndar
 def averaged_projective_state(state: BipartiteState, probs,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
     """The B blocks mixed by ``probs``: the trace over B against diag(probs), renormalized."""
-    v = validate_outcome_probs(probs, state.n_b, tol)
+    v = validate_outcome_probs(probs, _check_state(state).n_b, tol)
     num = _ptrace_plan(state.rho, state.n_a, state.n_b, "B")(np.diag(v))
     den = float(np.trace(num).real)
     _guard(den > tol, ZeroDenominator, "averaged trace", den, "is not above tol", tol)

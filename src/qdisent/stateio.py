@@ -29,7 +29,7 @@ from types import GeneratorType
 
 import numpy as np
 
-from .core import BipartiteState, QDisentError
+from .core import BipartiteState, QDisentError, _check_state
 
 
 class StateFormatError(QDisentError):
@@ -301,7 +301,7 @@ def dumps_canonical(doc: dict) -> str:
 
 def state_to_doc(state: BipartiteState, meta: dict | None = None) -> dict:
     """The document of ``state``: ``rho`` is ``state.rho`` itself, not a copy."""
-    doc: dict = {"dims": [state.n_a, state.n_b], "rho": state.rho}
+    doc: dict = {"dims": [_check_state(state).n_a, state.n_b], "rho": state.rho}
     if meta:
         if not isinstance(meta, dict) or not all(
                 isinstance(key, str) and isinstance(val, str) for key, val in meta.items()):

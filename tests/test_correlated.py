@@ -138,8 +138,10 @@ def test_tolerance_checks_fail_closed_on_nan():
         _half_step(SimpleNamespace(rho=rho, n_a=2, n_b=2), "A", 1, 1e-9)(
             np.eye(2, dtype=complex))
     # a state that skipped validation, with a nan on its diagonal
-    raw = SimpleNamespace(rho=np.diag([nan, 0.5, 0.25, 0.25]).astype(complex),
-                          n_a=2, n_b=2)
+    raw = object.__new__(BipartiteState)
+    for name, value in (("rho", np.diag([nan, 0.5, 0.25, 0.25]).astype(complex)),
+                        ("dims", (2, 2)), ("_spectrum", None)):
+        object.__setattr__(raw, name, value)
     with _raises_exactly(ZeroDenominator, "averaged trace nan is not finite"):
         averaged_projective_state(raw, [0.5, 0.5])
     with _raises_exactly(InvalidSpec, "negative probability nan"):

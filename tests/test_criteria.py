@@ -175,9 +175,8 @@ def _joint_solves(monkeypatch, argv, n):
         return spy
 
     with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
-        if gufuncs is not None:
-            patch.setattr(core, "_umath_linalg", SimpleNamespace(
-                eigh_lo=gufuncs.eigh_lo, eigvalsh_lo=spying(gufuncs.eigvalsh_lo)))
+        patch.setattr(core, "_umath_linalg", SimpleNamespace(
+            eigh_lo=gufuncs.eigh_lo, eigvalsh_lo=spying(gufuncs.eigvalsh_lo)))
         patch.setattr(np.linalg, "eigvalsh", spying(eigvalsh))
         code = main(argv)
     return code, len(calls)

@@ -7,12 +7,15 @@ The suite's ``filterwarnings = error`` fails any numpy warning that
 escapes.  A count argument must also reject every value that is not a
 count, so a zero or negative count cannot return a result computed
 over no work.  It gets no huge finite value: its check would pass and
-the work would start.
+the work would start.  A state argument must be a ``BipartiteState``:
+every hostile value, and the raw array of a valid state, raises
+``TypeError`` there.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 
 import qdisent as q
 from qdisent.states import random_state
+from test_correlated import _raises_exactly
 
 STATE = random_state((2, 2), seed=1)
 RHO = STATE.rho
@@ -166,3 +170,51 @@ def test_hostile_values_fail_with_a_library_error_or_return(call, n, count):
         if took > BUDGET_S:
             leaks.append(f"{label}: took {took:.2f} s")
     assert leaks == []
+
+
+# (entry point, call with the hostile value as its state)
+STATE_ENTRIES = [
+    ("partial_trace", q.partial_trace),
+    ("partial_transpose", q.partial_transpose),
+    ("correlation_gap", lambda x: q.correlation_gap(x, PAULI_Z, PAULI_Z)),
+    ("ppt_test", q.ppt_test),
+    ("reduction_criterion_test", q.reduction_criterion_test),
+    ("separability_verdict", q.separability_verdict),
+    ("subadditivity_check", q.subadditivity_check),
+    ("witness_expectation", lambda x: q.witness_expectation(x, np.eye(4))),
+    ("averaged_projective_state", lambda x: q.averaged_projective_state(x, [0.5, 0.5])),
+    ("neumann_equivalence_gap", lambda x: q.neumann_equivalence_gap(x, [0.5, 0.5])),
+    ("neumann_reduce", q.neumann_reduce),
+    ("correlated_local_state", lambda x: q.correlated_local_state(x, HALF)),
+    ("disentanglement_report",
+     lambda x: q.disentanglement_report(x, [q.NeumannMethod()])),
+    ("fixed_point_residuals", lambda x: q.fixed_point_residuals(x, HALF, HALF)),
+    ("fixed_point_solve", q.fixed_point_solve),
+    ("NeumannMethod.factors", lambda x: q.NeumannMethod().factors(x, q.DEFAULT_TOL)),
+    ("PointerMethod.factors", lambda x: q.PointerMethod().factors(x, q.DEFAULT_TOL)),
+    ("CorrelatedMethod.factors",
+     lambda x: q.CorrelatedMethod().factors(x, q.DEFAULT_TOL)),
+    ("state_to_doc", q.state_to_doc),
+    ("save_state", lambda x: q.save_state(os.devnull, x)),  # raises before it writes
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in STATE_ENTRIES])
+def test_a_state_argument_must_be_a_bipartite_state(call):
+    leaks = []
+    for label, value in _values(4) + [("raw_state", RHO)]:
+        try:
+            call(value)
+        except TypeError as exc:
+            if not str(exc).startswith("state must be a BipartiteState, got "):
+                leaks.append(f"{label}: TypeError: {exc}")
+        except Exception as exc:  # anything else is a leak, reported below
+            leaks.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            leaks.append(f"{label}: accepted as a state")
+    assert leaks == []
+
+
+def test_the_state_check_names_the_type_it_got():
+    with _raises_exactly(TypeError, "state must be a BipartiteState, got ndarray"):
+        q.partial_trace(RHO)
