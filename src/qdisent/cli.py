@@ -153,15 +153,27 @@ def _resolve_tol(flag_value):
 
 
 def _expand(path: str) -> tuple[list[str], bool]:
-    """Resolve a CLI path to (file list, is_batch)."""
+    """Resolve a CLI path to (file list, is_batch).
+
+    A path whose kind cannot be read (``is_dir`` raises for all but a
+    few errnos, EACCES and ENAMETOOLONG among them) is taken as a file,
+    whose read then fails as its item's error.
+    """
     p = Path(path)
-    if p.is_dir():
+    try:
+        is_dir = p.is_dir()
+    except OSError:
+        is_dir = False
+    if not is_dir:
+        return [path], False
+    try:
         names = sorted((c for c in p.iterdir() if c.is_file()
                         and c.suffix == ".json"), key=lambda c: c.name)
-        if not names:
-            raise _CliError(f"no .json state files in {path}")
-        return [str(c) for c in names], True
-    return [path], False
+    except OSError as exc:
+        raise _CliError(f"cannot list {path}: {exc}") from exc
+    if not names:
+        raise _CliError(f"no .json state files in {path}")
+    return [str(c) for c in names], True
 
 
 def _run_item(item_fn, path: str) -> tuple[dict, int]:

@@ -436,6 +436,63 @@ def test_batch_needs_json_files(tmp_path, monkeypatch, capsys):
     assert err.startswith("error:")
 
 
+def _deny(monkeypatch, method, denied):
+    """Make ``Path.<method>`` raise EACCES for every path ``denied(path)`` holds.
+
+    Root reads and lists a mode-000 path, so ``chmod`` cannot show this
+    on every host.
+    """
+    real = getattr(Path, method)
+
+    def refuse(self, *args, **kwargs):
+        if denied(self):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(Path, method, refuse)
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_a_file_that_cannot_be_reached_is_its_items_error(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # a file in a directory that cannot be searched: its stat and its
+    # open fail with EACCES, which Path.is_dir does not swallow
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path / "one.json", [0.25] * 4)
+    for method in ("stat", "open"):
+        _deny(monkeypatch, method, lambda path: path.name == "one.json")
+    code, report, err = run_json(capsys, command, "one.json")
+    assert (code, err) == (3, "")
+    assert report["error"] == ("StateFormatError: cannot read one.json:"
+                               " [Errno 13] Permission denied: 'one.json'")
+
+
+def test_a_name_too_long_is_its_items_error(tmp_path, monkeypatch, capsys):
+    # Path.is_dir raises ENAMETOOLONG too, on any host and as any user
+    monkeypatch.chdir(tmp_path)
+    name = "x" * 300
+    code, report, err = run_json(capsys, "validate", name)
+    assert (code, err) == (3, "")
+    assert report["error"] == (f"StateFormatError: cannot read {name}: [Errno"
+                               f" {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}:"
+                               f" '{name}'")
+
+
+@pytest.mark.parametrize("method, denied", [
+    ("iterdir", lambda path: path.name == "d"),
+    ("stat", lambda path: path.parent.name == "d"),
+], ids=["the listing", "an entry's stat"])
+def test_a_directory_that_cannot_be_listed_exits_3(tmp_path, monkeypatch, capsys,
+                                                   method, denied):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    write_doc(tmp_path / "d" / "one.json", [0.25] * 4)
+    _deny(monkeypatch, method, denied)
+    code, out, err = run(capsys, "validate", "d")
+    assert (code, out) == (3, "")
+    path = "d" if method == "iterdir" else "d/one.json"
+    assert err == f"error: cannot list d: [Errno 13] Permission denied: '{path}'\n"
+
+
 # ----------------------------------------------------------------- tolerance
 
 
