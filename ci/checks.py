@@ -81,6 +81,18 @@ def texts17(out: Path) -> bool:
     return bool(bad or grids)
 
 
+def parse17(out: Path) -> bool:
+    """The parse-side twin of texts17: a state file's bytes go to orjson, in stateio._parse_fast,
+    where three guards on them pass, and must then give json.loads's document.  Sweep 2,000,000
+    seeded float64 bit patterns, the finite ones, written as lists in %.17g and in repr and
+    rendered as 64x64 grid state documents, each through load_document and json.loads: every
+    value keeps its type and bits, and every document takes the fast route."""
+    from test_stateio import parse17_mismatches
+    bad, off_route = parse17_mismatches(2_000_000, seed=1, directory=out)
+    print(f"{bad} values parsed to other bits, {off_route} documents off the fast route")
+    return bool(bad or off_route)
+
+
 def batch_warnings(out: Path) -> bool:
     """The benchmark's batch run sends stderr to /dev/null, so a warning on the batch path would
     pass unseen there: run the same batches with warnings as errors, over the seed-0 write-8x8
@@ -144,8 +156,9 @@ def solver_memory(out: Path) -> bool:
     return (short_code, long_code) != (2, 2) or long > short + 1024
 
 
-CHECKS = {"blas-kernel": blas_kernel, "texts17": texts17, "batch-warnings": batch_warnings,
-          "batch-memory": batch_memory, "solver-memory": solver_memory}
+CHECKS = {"blas-kernel": blas_kernel, "texts17": texts17, "parse17": parse17,
+          "batch-warnings": batch_warnings, "batch-memory": batch_memory,
+          "solver-memory": solver_memory}
 
 
 def main(argv: list[str]) -> int:

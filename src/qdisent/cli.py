@@ -157,8 +157,11 @@ def _expand(path: str) -> tuple[list[str], bool]:
 
     A path whose kind cannot be read (``is_dir`` raises for all but a
     few errnos, EACCES and ENAMETOOLONG among them) is taken as a file,
-    whose read then fails as its item's error.
+    whose read then fails as its item's error.  An empty path is refused:
+    ``Path("")`` is the current directory.
     """
+    if not path:
+        raise _CliError("path must not be empty")
     p = Path(path)
     try:
         is_dir = p.is_dir()

@@ -28,6 +28,7 @@ from pathlib import Path
 from types import GeneratorType
 
 import numpy as np
+import orjson
 
 from .core import BipartiteState, QDisentError, _check_state
 
@@ -415,9 +416,65 @@ def _read(path) -> tuple[bytes, str]:
     return data, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+# The fast route's guards.  orjson 3.8.3 returns json.loads's document,
+# types, key order and float bits alike, on bytes that pass all three;
+# each keeps one of its differences on json's route:
+# - an escape: json keeps a lone surrogate ("\ud800") that orjson
+#   refuses, and with no escape every '"' opens or closes a string, which
+#   the depth count below relies on
+# - _LONG_DIGITS or more digits in a row, not after a point: orjson
+#   returns an integer past 64 bits as a float, and a negative one of 19
+#   digits can be past 63
+# - nesting deeper than _FAST_DEPTH outside strings: orjson has no
+#   nesting limit and overflows the C stack (16,000 - 24,000 levels on a
+#   1 MiB stack); json refuses beyond about 985 levels under cli.main,
+#   and a deeper document that orjson did parse would reach _want_real's
+#   repr and raise RecursionError there, so the bound sits far below both
+_LONG_DIGITS = 19
+_FAST_DEPTH = 512
+# digits to "0", the point kept, every other byte to " "
+_NUMERALS = b"".join(b"0" if c in b"0123456789" else b"." if c == ord(".") else b" "
+                     for c in range(256))
+# every byte but the brackets and the quote, for translate to delete
+_NOT_NESTING = bytes(c for c in range(256) if c not in b'[]{}"')
+_NESTING_STEP = np.zeros(256, dtype=np.intp)
+_NESTING_STEP[list(b"[{")], _NESTING_STEP[list(b"]}")] = 1, -1
+
+
+def _depth(data: bytes) -> int:
+    """The deepest nesting of brackets outside strings, for bytes with no ``\\``."""
+    nesting = data.translate(None, _NOT_NESTING).split(b'"')[::2]  # drop the strings
+    steps = _NESTING_STEP[np.frombuffer(b"".join(nesting), dtype=np.uint8)]
+    return int(np.cumsum(steps).max(initial=0))
+
+
+def _parse_fast(data: bytes) -> dict | None:
+    """The object ``data`` holds, parsed by orjson, or None to leave it to json.
+
+    None when the guards above fail, when orjson rejects the bytes (json
+    then gives the error text, or the document orjson cannot: ``NaN``,
+    ``1e400``) or when they hold no object, so that every error stays
+    json's.
+    """
+    if (b"\\" in data or _depth(data) > _FAST_DEPTH
+            or b" " + b"0" * _LONG_DIGITS in (b" " + data).translate(_NUMERALS)):
+        return None
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
 def load_document(path) -> tuple[dict, str]:
-    """Parse a state file, uninterpreted: (document, digest of the bytes parsed)."""
+    """Parse a state file, uninterpreted: (document, digest of the bytes parsed).
+
+    By ``_parse_fast`` where it takes the bytes, else by ``json.loads``.
+    """
     data, digest = _read(path)
+    doc = _parse_fast(data)
+    if doc is not None:
+        return doc, digest
     try:  # decode as read_text does: universal newlines, same error positions
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:

@@ -1,13 +1,13 @@
 """Layout rules read from the source, not from behaviour.
 
-The first four rules of ROADMAP E, over ``src/qdisent/*.py`` with the
-stdlib ``ast``: each names the functions that may break it, so a second
-eigensolve, basis layout, stdout writer or file access cannot land
-unseen.  A site is ``module.function`` (a method is
-``module.Class.method``, a nested function counts as its outer one, and
-module-level code is ``module``).  The last test checks that CI's
-workflow runs each of ``ci/checks.py``'s checks by one command and holds
-no inline script.
+The five rules of ROADMAP E, over ``src/qdisent/*.py`` with the stdlib
+``ast``, and the parse route's one home: each names the functions that
+may break it, so a second eigensolve, basis layout, stdout writer, file
+access or parser, or an exception of another type, cannot land unseen.
+A site is ``module.function`` (a method is ``module.Class.method``, a
+nested function counts as its outer one, and module-level code is
+``module``).  The last test checks that CI's workflow runs each of
+``ci/checks.py``'s checks by one command and holds no inline script.
 """
 
 from __future__ import annotations
@@ -114,6 +114,73 @@ def test_each_file_access_has_one_home():
                   "write_text": {"stateio.save_state"}, "write_bytes": set(),
                   "TemporaryFile": {"cli._run_batch"}, "NamedTemporaryFile": set(),
                   "SpooledTemporaryFile": set(), "mkstemp": set()})
+
+
+def test_the_parse_route_has_one_home():
+    # a state file's bytes are parsed by orjson in stateio._parse_fast or,
+    # where its guards or orjson turn them down, by json.loads in
+    # load_document, so every error text is json's: no third parser
+    _check_sites({"orjson": {"stateio", "stateio._parse_fast"},
+                  "loads": {"stateio._parse_fast", "stateio.load_document"},
+                  "load": set(), "raw_decode": set(), "JSONDecoder": set()})
+
+
+def _raised(node: ast.Raise) -> str:
+    """The name of what ``node`` raises, called or not; ``""`` for a bare re-raise."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return "" if exc is None else _dotted(exc).rsplit(".", 1)[-1]
+
+
+def _subclasses(base: str) -> set[str]:
+    """``base`` and every class of the package that derives from it."""
+    parents = {node.name: {_dotted(b) for b in node.bases} for tree in MODULES.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found = {base}
+    while grown := {name for name, bases in parents.items() if bases & found} - found:
+        found |= grown
+    return found
+
+
+def test_each_raise_raises_an_allowed_type():
+    # rule 5: a raise raises a core.QDisentError subclass, _CliError,
+    # ValueError, TypeError or LinAlgError, or the ``exc`` a checking
+    # helper is passed, or re-raises (""); each from these sites only
+    raised = defaultdict(set)
+    for site, node in _nodes():
+        if isinstance(node, ast.Raise):
+            raised[_raised(node)].add(site)
+    assert set(raised) - _subclasses("QDisentError") == {
+        "_CliError", "ValueError", "TypeError", "LinAlgError", "exc", ""}
+    assert raised == {
+        "_CliError": {"cli._report", "cli._check_finite", "cli._check_at_least",
+                      "cli._check_at_most", "cli._check_tol", "cli._resolve_tol",
+                      "cli._expand", "cli._run_batch", "cli.cmd_disentangle",
+                      "cli.cmd_generate"},
+        "StateFormatError": {"cli._spool_call", "stateio.format_real", "stateio._render",
+                             "stateio.write_canonical", "stateio.state_to_doc",
+                             "stateio._want_int", "stateio._want_real", "stateio._walk_grid",
+                             "stateio.doc_to_matrix", "stateio._read",
+                             "stateio.load_document"},
+        "DimensionMismatch": {"core._as_square", "core._check_local", "core._hermitize",
+                              "core.BipartiteState.__post_init__", "core.tensor_product",
+                              "core.embed_local", "correlated.PointerMethod.factors",
+                              "criteria.witness_expectation",
+                              "reductions.validate_outcome_probs", "twoqubit._as_two_qubit"},
+        "InvalidSpec": {"reductions.validate_outcome_probs", "states._bell",
+                        "states.generate"},
+        "InvalidPointer": {"states._check_pointer"},
+        "NonConvergence": {"correlated.fixed_point_solve"},
+        "ValueError": {"core._check_side", "correlated._check_config",
+                       "correlated.disentanglement_report",
+                       "criteria.reduction_criterion_test", "criteria._real_expectation"},
+        "TypeError": {"core._check_state"},
+        "LinAlgError": {"core._raise_nonconvergence"},
+        "exc": {"core._guard", "core._check_dims", "core._check_count"},
+        "": {"cli._validate_item"},
+    }
+    helpers = {f"core.{node.name}": {arg.arg for arg in node.args.args}
+               for node in MODULES["core"].body if isinstance(node, ast.FunctionDef)}
+    assert all("exc" in helpers[site] for site in raised["exc"])
 
 
 def test_the_workflow_runs_each_check_once_and_no_inline_script():

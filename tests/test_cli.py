@@ -493,6 +493,16 @@ def test_a_directory_that_cannot_be_listed_exits_3(tmp_path, monkeypatch, capsys
     assert err == f"error: cannot list d: [Errno 13] Permission denied: '{path}'\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "disentangle"])
+def test_an_empty_path_exits_3_before_any_listing(tmp_path, monkeypatch, capsys, command):
+    # Path("") is the current directory, here one that holds a state file
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path / "one.json", [0.25] * 4)
+    _deny(monkeypatch, "iterdir", lambda path: True)
+    code, out, err = run(capsys, command, "")
+    assert (code, out, err) == (3, "", "error: path must not be empty\n")
+
+
 # ----------------------------------------------------------------- tolerance
 
 

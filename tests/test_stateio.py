@@ -1,13 +1,18 @@
 """Round-trip and format checks for the JSON state files."""
 
 import hashlib
+import importlib.util
+import io
 import json
 import math
+import operator
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +34,12 @@ from qdisent import (
     save_state,
     state_to_doc,
 )
+from qdisent.cli import main as cli_main
 from qdisent.stateio import (
+    _FAST_DEPTH,
     _MIRROR_MIN_N,
     _codes17,
+    _parse_fast,
     _round17,
     _screen_grid,
     _walk_grid,
@@ -827,3 +835,240 @@ def test_huge_integer_cell_is_a_format_error():
     with pytest.raises(StateFormatError) as info:
         doc_to_matrix(doc)
     assert str(info.value) == "rho[0][1][1] must be finite, got 1" + "0" * 400
+
+
+# ------------------------------------------------------------ the fast parse
+#
+# load_document parses with orjson when _parse_fast's guards pass, else with
+# json.loads; whatever orjson returns must be what json.loads returns.
+
+
+def _strict(value):
+    """``value`` in pre-order, each container with its size, each leaf with its
+    type and float bits: ``==`` takes ``1``, ``1.0`` and ``True`` for one
+    another, and ``0.0`` for ``-0.0``.  A flat list, so any depth compares."""
+    tokens, stack = [], [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            tokens.append(("dict", len(value)))
+            for key, val in reversed(value.items()):
+                stack += [val, key]
+        elif isinstance(value, list):
+            tokens.append(("list", len(value)))
+            stack += reversed(value)
+        else:
+            tokens.append((type(value).__name__,
+                           value.hex() if isinstance(value, float) else value))
+    return tokens
+
+
+def _json_loads(data):
+    """json's document of ``data``, decoded as load_document decodes it."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+
+
+def _json_values(clean):
+    """JSON texts of nested lists and objects of numbers, words and strings.
+
+    A ``clean`` one has no escape, control character, ``NaN``,
+    ``Infinity``, ``1e400`` or integer of 19 digits or more, so most go the
+    fast route; the others may hold any of them, and raw quotes.
+    """
+    digits = st.integers(1, 18 if clean else 25)
+    integers = st.tuples(st.sampled_from(("", "-")), digits).flatmap(
+        lambda t: st.integers(0 if t[1] == 1 else 10 ** (t[1] - 1), 10 ** t[1] - 1).map(
+            lambda v: t[0] + str(v)))
+    floats = st.tuples(st.sampled_from(("%.17g", "%r", "%.3e", "%.25g")),
+                       st.floats(allow_nan=False, allow_infinity=False)).map(
+        lambda t: t[0] % t[1])
+    words = st.sampled_from(("true", "false", "null", "-0") + (() if clean else (
+        "NaN", "Infinity", "-Infinity", "1e400", "-1e400")))
+    if clean:  # non-ASCII, but no control character, quote or backslash
+        strings = st.text(st.characters(max_codepoint=0x1F600, exclude_categories=("Cs", "Cc"),
+                                        exclude_characters='"\\'), max_size=6).map(
+            lambda text: '"' + text + '"')
+    else:  # control characters and non-ASCII ones, escaped by json.dumps or raw
+        strings = st.tuples(
+            st.text(st.characters(max_codepoint=0x1F600, exclude_categories=("Cs",)), max_size=6),
+            st.sampled_from(("ascii", "utf-8", "raw"))).map(
+            lambda t: '"' + t[0] + '"' if t[1] == "raw"
+            else json.dumps(t[0], ensure_ascii=t[1] == "ascii"))
+    keys = st.one_of(st.sampled_from(('"a"', '"b"', '"rho"')), strings)
+    separators = st.sampled_from((", ", ",", ",\n  ", ",\r\n"))
+
+    def containers(values):
+        return st.one_of(
+            st.tuples(st.lists(values, max_size=4), separators).map(
+                lambda t: "[" + t[1].join(t[0]) + "]"),
+            st.tuples(st.lists(st.tuples(keys, values), max_size=4), separators).map(
+                lambda t: "{" + t[1].join(f"{k}: {v}" for k, v in t[0]) + "}"))
+
+    values = st.recursive(st.one_of(integers, floats, words, strings), containers, max_leaves=12)
+    objects = st.lists(st.tuples(keys, values), max_size=5).map(
+        lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}\n")
+    return _mostly(objects, values)
+
+
+JSON_TEXTS = {clean: _json_values(clean) for clean in (True, False)}
+
+
+@st.composite
+def _json_bytes(draw):
+    """A JSON text as UTF-8, half of them clean; the others may have a few
+    bytes overwritten and a BOM put in front."""
+    clean = draw(st.booleans())
+    data = bytearray(draw(JSON_TEXTS[clean]).encode("utf-8"))
+    if not clean:
+        for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        if draw(st.integers(0, 4)) == 0:
+            data[:0] = b"\xef\xbb\xbf"
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_bytes())
+def test_the_fast_route_returns_json_loads_document(data):
+    doc = _parse_fast(data)
+    if doc is not None:
+        assert _strict(doc) == _strict(_json_loads(data))
+
+
+def _nested(depth):
+    """``depth`` empty lists, one inside the next."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def _in_object(depth):
+    """An object holding ``depth - 1`` nested lists: ``depth`` levels in all."""
+    return b'{"a": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
+
+
+@pytest.mark.parametrize("data, route, want", [
+    (b'{"a": 18446744073709551616}', "json", {"a": 2 ** 64}),
+    (b'{"a": ' + b"1" * 30 + b"}", "json", {"a": int("1" * 30)}),
+    (b'{"a": -9999999999999999999}', "json", {"a": -9999999999999999999}),
+    (b'{"a": -999999999999999999}', "orjson", {"a": -999999999999999999}),
+    (b'{"a": 1.' + b"1" * 30 + b"}", "orjson", {"a": 1.1111111111111112}),
+    (b'{"a": NaN}', "json", {"a": math.nan}),
+    (b'{"a": 1e400}', "json", {"a": math.inf}),
+    (b'{"a": "\\ud800"}', "json", {"a": "\ud800"}),
+    (b'\xef\xbb\xbf{"a": 1}', "json", "is not valid JSON: Unexpected UTF-8 BOM"
+     " (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{\r\n  "a": [1, -0.0]\r\n}\r\n', "orjson", {"a": [1, -0.0]}),
+    (b'{"b": 1, "a": 2, "b": 3.0}', "orjson", {"b": 3.0, "a": 2}),
+    (b'{"a": "x\\\\y"}', "json", {"a": "x\\y"}),
+    (b'{"a": "x\\y"}', "json", "is not valid JSON: Invalid \\escape: line 1 column 9 (char 8)"),
+    (b'{"a": "\xc0\xaf"}', "json", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xc0"
+     " in position 7: invalid start byte"),
+    (_in_object(_FAST_DEPTH), "orjson", {"a": _nested(_FAST_DEPTH - 1)}),
+    (_in_object(_FAST_DEPTH + 1), "json", {"a": _nested(_FAST_DEPTH)}),
+    (b"[" * 200_000 + b"]" * 200_000, "json", "nests too deeply to parse"),
+    (b'{"a": [1, 2]', "json", "is not valid JSON: Expecting ',' delimiter:"
+     " line 1 column 13 (char 12)"),
+], ids=["beyond_64_bits", "thirty_ones", "19_digits", "18_digits", "31_digit_float",
+        "nan", "1e400", "lone_surrogate", "bom", "crlf", "duplicate_keys", "backslash",
+        "bad_escape", "overlong_utf8", "depth_at_the_bound", "one_above_it",
+        "200000_levels", "truncated"])
+def test_which_route_a_file_takes_and_what_it_gives(tmp_path, data, route, want):
+    path = tmp_path / "s.json"
+    path.write_bytes(data)
+    assert (_parse_fast(data) is not None) == (route == "orjson")
+    if isinstance(want, str):
+        with pytest.raises(StateFormatError) as info:
+            load_document(path)
+        assert str(info.value) == f"{path} {want}"
+    else:
+        doc, digest = load_document(path)
+        assert _strict(doc) == _strict(want)
+        assert digest == file_digest(path)
+
+
+@pytest.mark.parametrize("depth", [_FAST_DEPTH, _FAST_DEPTH + 1, 200_000])
+def test_a_deep_file_exits_3_on_a_1_mib_stack(tmp_path, monkeypatch, capsys, depth):
+    # a state whose first leaf nests the file ``depth`` levels deep: the
+    # deepest orjson parses, the shallowest json parses in its place and
+    # one json refuses.  orjson, unguarded, overflows a 1 MiB C stack at
+    # 16,000 - 24,000 levels, so the child runs first: it must exit 3, not
+    # on a signal, with the item this process then gives
+    leaf = b"[" * (depth - 4) + b"]" * (depth - 4)  # under the object, rho, row and cell
+    (tmp_path / "deep.json").write_bytes(b'{"dims": [1, 1], "rho": [[[' + leaf + b", 0]]]}\n")
+
+    def small_stack():
+        hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+        resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, hard))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("QDISENT_TOL", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qdisent.cli", "validate",
+                           "deep.json"], cwd=tmp_path, env=env, preexec_fn=small_stack,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["validate", "deep.json"]) == 3
+    assert proc.stdout == capsys.readouterr().out
+
+
+def _bench_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "qdbench_corpus", Path(__file__).resolve().parents[1] / "qdbench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_state_files_take_the_fast_route(tmp_path):
+    # the read-8x8 corpus, planted defects too: the 200 KB files the
+    # fast route is for must not slip into json's
+    _bench_corpus().build("read-8x8", 0, tmp_path)
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 33
+    for path in paths:
+        data = path.read_bytes()
+        doc = _parse_fast(data)
+        assert doc is not None, path.name
+        assert _strict(doc) == _strict(_json_loads(data))
+
+
+def _leaves(doc):
+    """A list document's values, or a state document's grid leaves row by row."""
+    return doc["values"] if "values" in doc else list(
+        chain.from_iterable(chain.from_iterable(doc["rho"])))
+
+
+def parse17_mismatches(count, seed, directory, n=64):
+    """(values parsed to other bits, documents off the fast route) over the
+    finite ones of ``count`` seeded float64 bit patterns.
+
+    Each run of ``2 * n * n`` values is written as a list in ``%.17g`` and
+    in ``repr``, and as the canonical n x n grid state document, whose
+    zeros print as ``0``; each document goes through load_document and
+    through json.loads.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2 ** 64, count, dtype=np.uint64).view(float)
+    x = x[np.isfinite(x)]
+    per = 2 * n * n
+    path = Path(directory) / "parse17.json"
+    bad = off_route = 0
+    for start in range(0, len(x), per):
+        part = x[start:start + per]
+        grid = np.resize(part, per).view(complex).reshape(n, n)
+        for text in ('{"values": [' + ", ".join(map("%.17g".__mod__, part.tolist())) + "]}",
+                     '{"values": [' + ", ".join(map(repr, part.tolist())) + "]}",
+                     dumps_canonical({"dims": [n, 1], "rho": grid})):
+            path.write_text(text, encoding="utf-8")
+            off_route += _parse_fast(path.read_bytes()) is None
+            got, want = map(_leaves, (load_document(path)[0], json.loads(text)))
+            bad += abs(len(got) - len(want)) + sum(map(operator.ne, _strict(got), _strict(want)))
+    return bad, off_route
+
+
+def test_the_fast_route_parses_what_json_parses_bit_for_bit(tmp_path):
+    # CI sweeps 2,000,000 bit patterns
+    assert parse17_mismatches(40_000, seed=0, directory=tmp_path) == (0, 0)
