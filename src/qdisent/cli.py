@@ -121,9 +121,9 @@ def _check_finite(value: float, name: str, shown) -> None:
         raise _CliError(f"{name} must be finite, got {shown}")
 
 
-def _check_at_least(value: int, low: int, name: str) -> None:
-    if value < low:
-        raise _CliError(f"{name} must be >= {low}, got {value}")
+def _check_seed(value: int) -> None:
+    if value < 0:
+        raise _CliError(f"--seed must be >= 0, got {value}")
 
 
 def _check_at_most(value: int, high: int, name: str) -> None:
@@ -141,7 +141,7 @@ def _check_tol(value: float, name: str, shown) -> float:
 
 def _resolve_tol(flag_value):
     if flag_value is not None:
-        return _check_tol(float(flag_value), "--tol", flag_value)
+        return _check_tol(flag_value, "--tol", flag_value)
     raw = os.environ.get(ENV_TOL)
     if raw is None:
         return DEFAULT_TOL
@@ -372,7 +372,7 @@ def cmd_disentangle(args) -> int:
 # ------------------------------------------------------------------ generate
 
 def cmd_generate(args) -> int:
-    _check_at_least(args.seed, 0, "--seed")
+    _check_seed(args.seed)
     n_a, n_b = args.dims
     # dims below 2 stay generate's InvalidSpec, exit 1
     sized = min(n_a, n_b) >= 2
@@ -419,7 +419,7 @@ def _short(x: float) -> str:
 def cmd_bench2q(args) -> int:
     _check_count(args.cases, "--cases", _CliError)
     _check_at_most(args.cases, BENCH2Q_MAX_CASES, "--cases")
-    _check_at_least(args.seed, 0, "--seed")
+    _check_seed(args.seed)
     rows = transcription_bench(cases=args.cases, seed=args.seed)
     lines = [f"two-qubit transcription bench cases={args.cases} seed={args.seed}"
              f" gate={_short(BENCH_GATE)}"]
@@ -441,7 +441,7 @@ def cmd_bench2q(args) -> int:
 # -------------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser on each call; ``main`` reuses one, see ``_parser``."""
+    """A fresh parser on each call; ``main`` reuses one, ``_PARSER``."""
     # help and usage wrap at 78 columns, not at the terminal's width, so
     # the usage-error bytes do not depend on COLUMNS
     wrap = functools.partial(argparse.HelpFormatter, width=78)
@@ -515,15 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser ``main`` reuses in a process.
-
-    ``parse_args`` leaves a parser unchanged, and every setting a
-    command reads at run time (``QDISENT_TOL``) is read by the command,
-    so sharing it is safe.  Built on first use, not at import.
-    """
-    return build_parser()
+# The one parser ``main`` reuses in a process: ``parse_args`` leaves a
+# parser unchanged, and every setting a command reads at run time
+# (``QDISENT_TOL``) is read by the command, so sharing it is safe.
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
@@ -533,7 +528,7 @@ def main(argv=None) -> int:
         helptext = io.StringIO()
         try:
             with contextlib.redirect_stdout(helptext):
-                args = _parser().parse_args(argv)
+                args = _PARSER.parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage errors; 2 means non-convergence
             # here, so usage trouble leaves through 3 with the rest of the

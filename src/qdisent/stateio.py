@@ -64,22 +64,19 @@ _POW10_HEAD = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
 _POW10_TAIL = _POW10 - _POW10_HEAD
 
 
-@functools.cache
-def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_codes17's three lookup tables, built on first use so that import stays cheap.
-
-    The four digit codes of each of 0000 .. 9999; columns 0 - 5 of a
-    text, the sign and the ``0.`` .. ``0.000`` prefix, at row ``neg * 6
-    + form`` for the form ``-k`` (k = 0 .. -4, fixed point) or 5 (k <
-    -4, exponent), k the decimal exponent; and columns 24 - 27, ``e-05``
-    .. ``e-29`` at row ``-k``, NULs in the fixed-point rows 0 - 4.
-    """
-    digits4 = 48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-    forms = (b"", b"0.", b"0.0", b"0.00", b"0.000", b"")
-    prefixes = b"".join(sign + form.ljust(5, b"\0") for sign in (b"\0", b"-") for form in forms)
-    exponents = bytes(20) + b"".join(b"e-%02d" % e for e in range(5, 30))
-    return (np.ascontiguousarray(digits4), np.frombuffer(prefixes, np.uint8).reshape(12, 6),
-            np.frombuffer(exponents, np.uint8).reshape(30, 4))
+# _codes17's three lookup tables, read-only: the four digit codes of each
+# of 0000 .. 9999; columns 0 - 5 of a text, the sign and the ``0.`` ..
+# ``0.000`` prefix, at row ``neg * 6 + form`` for the form ``-k`` (k = 0
+# .. -4, fixed point) or 5 (k < -4, exponent), k the decimal exponent;
+# and columns 24 - 27, ``e-05`` .. ``e-29`` at row ``-k``, NULs in the
+# fixed-point rows 0 - 4.
+_DIGITS4 = np.ascontiguousarray(48 + np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T)
+_DIGITS4.flags.writeable = False
+_PREFIXES = np.frombuffer(b"".join(sign + form.ljust(5, b"\0") for sign in (b"\0", b"-")
+                                   for form in (b"", b"0.", b"0.0", b"0.00", b"0.000", b"")),
+                          np.uint8).reshape(12, 6)
+_EXPONENTS = np.frombuffer(bytes(20) + b"".join(b"e-%02d" % e for e in range(5, 30)),
+                           np.uint8).reshape(30, 4)
 
 
 def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,7 +131,6 @@ def _codes17(values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     n = len(x)
     digits, k, ok = _round17(x)
-    digits4, prefixes, exponents = _text_tables()
     # the 17 digits, the leading one alone and the rest four at a time
     lead = digits // 10 ** 16
     low = digits - lead * 10 ** 16
@@ -144,14 +140,14 @@ def _codes17(values: np.ndarray) -> np.ndarray:
     groups[:, ::2] = groups[:, 1::2] // 10 ** 4
     groups[:, 1::2] -= groups[:, ::2] * 10 ** 4
     codes = np.empty((n, 28), dtype=np.uint8)
-    codes[:, :6] = np.take(prefixes, np.signbit(x) * 6 + np.where(k >= -4, -k, 5), axis=0)
+    codes[:, :6] = np.take(_PREFIXES, np.signbit(x) * 6 + np.where(k >= -4, -k, 5), axis=0)
     codes[:, 6] = 48 + lead
     rest = codes[:, 8:24]
-    rest[:] = np.take(digits4, groups, axis=0).reshape(n, 16)
+    rest[:] = np.take(_DIGITS4, groups, axis=0).reshape(n, 16)
     trailing = np.logical_and.accumulate(rest[:, ::-1] == 48, axis=1)[:, ::-1]
     np.copyto(rest, 0, where=trailing)
     codes[:, 7] = np.where((rest[:, 0] != 0) & ((k == 0) | (k < -4)), ord("."), 0)
-    codes[:, 24:] = np.take(exponents, -k, axis=0)
+    codes[:, 24:] = np.take(_EXPONENTS, -k, axis=0)
     texts = ["%.17g" % v for v in np.abs(x[~ok]).tolist()]
     codes[~ok, 1:] = np.array(texts, dtype="S27").view(np.uint8).reshape(-1, 27)
     return codes
@@ -422,9 +418,10 @@ def _read(path) -> tuple[bytes, str]:
 # - an escape: json keeps a lone surrogate ("\ud800") that orjson
 #   refuses, and with no escape every '"' opens or closes a string, which
 #   the depth count below relies on
-# - _LONG_DIGITS or more digits in a row, not after a point: orjson
-#   returns an integer past 64 bits as a float, and a negative one of 19
-#   digits can be past 63
+# - _LONG_DIGITS or more digits in a row after a byte that is no digit
+#   or point: orjson returns an integer past 64 bits as a float, and a
+#   negative one of 19 digits can be past 63.  A run at byte 0 needs no
+#   guard: it holds no object, which _parse_fast turns down anyway
 # - nesting deeper than _FAST_DEPTH outside strings: orjson has no
 #   nesting limit and overflows the C stack (16,000 - 24,000 levels on a
 #   1 MiB stack); json refuses beyond about 985 levels under cli.main,
@@ -457,7 +454,7 @@ def _parse_fast(data: bytes) -> dict | None:
     json's.
     """
     if (b"\\" in data or _depth(data) > _FAST_DEPTH
-            or b" " + b"0" * _LONG_DIGITS in (b" " + data).translate(_NUMERALS)):
+            or b" " + b"0" * _LONG_DIGITS in data.translate(_NUMERALS)):
         return None
     try:
         doc = orjson.loads(data)
@@ -476,11 +473,9 @@ def load_document(path) -> tuple[dict, str]:
     if doc is not None:
         return doc, digest
     try:  # decode as read_text does: universal newlines, same error positions
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError as exc:
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except UnicodeDecodeError as exc:  # a ValueError that json.loads of a str never raises
         raise StateFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -6,8 +6,9 @@ may break it, so a second eigensolve, basis layout, stdout writer, file
 access or parser, or an exception of another type, cannot land unseen.
 A site is ``module.function`` (a method is ``module.Class.method``, a
 nested function counts as its outer one, and module-level code is
-``module``).  The last test checks that CI's workflow runs each of
-``ci/checks.py``'s checks by one command and holds no inline script.
+``module``).  The last two tests check that CI's workflow runs each of
+``ci/checks.py``'s checks by one command and holds no inline script,
+and that README's command for them names exactly those checks.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def test_each_raise_raises_an_allowed_type():
     assert set(raised) - _subclasses("QDisentError") == {
         "_CliError", "ValueError", "TypeError", "LinAlgError", "exc", ""}
     assert raised == {
-        "_CliError": {"cli._report", "cli._check_finite", "cli._check_at_least",
+        "_CliError": {"cli._report", "cli._check_finite", "cli._check_seed",
                       "cli._check_at_most", "cli._check_tol", "cli._resolve_tol",
                       "cli._expand", "cli._run_batch", "cli.cmd_disentangle",
                       "cli.cmd_generate"},
@@ -183,15 +184,26 @@ def test_each_raise_raises_an_allowed_type():
     assert all("exc" in helpers[site] for site in raised["exc"])
 
 
-def test_the_workflow_runs_each_check_once_and_no_inline_script():
-    # PyYAML is not installed on the runner: the workflow is read as text
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+def _check_names() -> list[str]:
+    """The keys of ``ci/checks.py``'s ``CHECKS``, sorted."""
     checks = ast.parse((ROOT / "ci" / "checks.py").read_text(encoding="utf-8"))
     [table] = [node.value for node in checks.body if isinstance(node, ast.Assign)
                and [_dotted(target) for target in node.targets] == ["CHECKS"]]
+    return sorted(ast.literal_eval(key) for key in table.keys)
+
+
+def test_the_workflow_runs_each_check_once_and_no_inline_script():
+    # PyYAML is not installed on the runner: the workflow is read as text
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     calls = re.findall(r"python3 -W error ci/checks\.py ([\w-]+)", workflow)
-    assert sorted(calls) == sorted(ast.literal_eval(key) for key in table.keys)
+    assert sorted(calls) == _check_names()
     assert "<<" not in workflow
     assert not re.search(r"python3? [^\n]*-c\b", workflow)
     assert not re.search(r"\w+\(\)\s*\{", workflow)
     assert "RUNNER_TEMP/vmhwm" not in workflow
+
+
+def test_the_readme_names_each_check_once():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [listed] = re.findall(r"python3 -W error ci/checks\.py \{([\w,-]+)\} \[DIR\]", readme)
+    assert sorted(listed.split(",")) == _check_names()  # each key once, as CHECKS has

@@ -1032,7 +1032,7 @@ def test_no_collection_starts_while_an_item_runs(tmp_path, capsys, default_gc_th
     # parse tree, so items run with the collector paused
     path = str(tmp_path / "s.json")
     save_state(path, random_state((8, 8), seed=4))
-    assert run(capsys, "validate", path)[0] == 0  # the parser is built
+    assert run(capsys, "validate", path)[0] == 0  # a warm-up run: first-use setup is done
     assert gc.isenabled()
     starts = []
 

@@ -277,12 +277,12 @@ def test_solver_runs_with_the_settings_it_checked():
         assert _same_field(err.value.best.iterations, sweeps)
 
 
-def test_solver_summary_spans_every_sweep():
-    # a pure 2x3 state: rho_B has a zero eigenvalue, which two of the
-    # first three B half-steps round below zero and clamp; the largest
-    # defect and the smallest eigenvalue both come before the last sweep
-    psi = random_ket(6, 12)
-    state = BipartiteState(np.outer(psi, psi.conj()), (2, 3))
+def _three_sweeps(state):
+    """(last sweep's steps, defects, smallest eigenvalues) of three sweeps from the partial traces.
+
+    Each sweep is an A half-step then a B half-step; the defects and
+    eigenvalues are listed in that order, two per sweep.
+    """
     rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
     defects, eigs = [], []
     for _ in range(3):
@@ -292,6 +292,16 @@ def test_solver_summary_spans_every_sweep():
         defects += [defect_a, defect_b]
         eigs += [min_a, min_b]
         rho_a, rho_b = new_a, new_b
+    return steps, defects, eigs
+
+
+def test_solver_summary_spans_every_sweep():
+    # a pure 2x3 state: rho_B has a zero eigenvalue, which two of the
+    # first three B half-steps round below zero and clamp; the largest
+    # defect and the smallest eigenvalue both come before the last sweep
+    psi = random_ket(6, 12)
+    state = BipartiteState(np.outer(psi, psi.conj()), (2, 3))
+    steps, defects, eigs = _three_sweeps(state)
     with pytest.raises(NonConvergence) as err:
         fixed_point_solve(state, SolverConfig(max_iter=3))
     best = err.value.best
@@ -312,15 +322,7 @@ def test_solver_summary_keeps_a_clamp_rounding_cannot_undo():
     corner = np.zeros((6, 6))
     corner[2, 2] = 1.0
     state = BipartiteState((1 + delta) * np.outer(psi, psi.conj()) - delta * corner, (2, 3))
-    rho_a, rho_b = partial_trace(state, over="B"), partial_trace(state, over="A")
-    defects, eigs = [], []
-    for _ in range(3):
-        new_a, defect_a, min_a = _half_step(state, "A", 1, DEFAULT_TOL)(rho_b)
-        new_b, defect_b, min_b = _half_step(state, "B", 1, DEFAULT_TOL)(new_a)
-        steps = np.linalg.norm(new_a - rho_a), np.linalg.norm(new_b - rho_b)
-        defects += [defect_a, defect_b]
-        eigs += [min_a, min_b]
-        rho_a, rho_b = new_a, new_b
+    steps, defects, eigs = _three_sweeps(state)
     assert min(eigs[::2]) > 0.0 and max(eigs[1::2]) < -9e-12
     with pytest.raises(NonConvergence) as err:
         fixed_point_solve(state, SolverConfig(max_iter=3))

@@ -36,8 +36,11 @@ from qdisent import (
 )
 from qdisent.cli import main as cli_main
 from qdisent.stateio import (
+    _DIGITS4,
+    _EXPONENTS,
     _FAST_DEPTH,
     _MIRROR_MIN_N,
+    _PREFIXES,
     _codes17,
     _parse_fast,
     _round17,
@@ -225,6 +228,11 @@ def test_an_unproven_value_keeps_its_sign_column():
     assert codes[:, 0].tolist() == [ord("-") if v < 0 else 0 for v in x.tolist()]
     assert [bytes(row).translate(None, b"\0").decode("ascii") for row in codes[:, 1:]] \
         == ["%.17g" % abs(v) for v in x.tolist()]
+
+
+def test_the_grid_kernel_tables_are_read_only():
+    # built at import and shared by every render, as _grid_plan's arrays are
+    assert not any(table.flags.writeable for table in (_DIGITS4, _PREFIXES, _EXPONENTS))
 
 
 def test_the_grid_kernel_loads_no_numpy_string_module():
@@ -943,6 +951,9 @@ def _nested(depth):
     return value
 
 
+_NOT_AN_OBJECT = "top level must be an object"
+
+
 def _in_object(depth):
     """An object holding ``depth - 1`` nested lists: ``depth`` levels in all."""
     return b'{"a": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
@@ -970,10 +981,17 @@ def _in_object(depth):
     (b"[" * 200_000 + b"]" * 200_000, "json", "nests too deeply to parse"),
     (b'{"a": [1, 2]', "json", "is not valid JSON: Expecting ',' delimiter:"
      " line 1 column 13 (char 12)"),
+    # a digit run at byte 0 has no byte before it for the long-digit
+    # guard to see; it is no object, so it takes json's route all the same
+    (b"1" * 30, "json", _NOT_AN_OBJECT),
+    (b" " + b"1" * 30, "json", _NOT_AN_OBJECT),
+    (b"\xef\xbb\xbf" + b"1" * 30, "json", "is not valid JSON: Unexpected UTF-8 BOM"
+     " (decode using utf-8-sig): line 1 column 1 (char 0)"),
 ], ids=["beyond_64_bits", "thirty_ones", "19_digits", "18_digits", "31_digit_float",
         "nan", "1e400", "lone_surrogate", "bom", "crlf", "duplicate_keys", "backslash",
         "bad_escape", "overlong_utf8", "depth_at_the_bound", "one_above_it",
-        "200000_levels", "truncated"])
+        "200000_levels", "truncated", "digits_at_byte_0", "digits_after_a_space",
+        "digits_after_a_bom"])
 def test_which_route_a_file_takes_and_what_it_gives(tmp_path, data, route, want):
     path = tmp_path / "s.json"
     path.write_bytes(data)
@@ -981,7 +999,8 @@ def test_which_route_a_file_takes_and_what_it_gives(tmp_path, data, route, want)
     if isinstance(want, str):
         with pytest.raises(StateFormatError) as info:
             load_document(path)
-        assert str(info.value) == f"{path} {want}"
+        # the one text that names no path
+        assert str(info.value) == (want if want == _NOT_AN_OBJECT else f"{path} {want}")
     else:
         doc, digest = load_document(path)
         assert _strict(doc) == _strict(want)
