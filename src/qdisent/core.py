@@ -140,24 +140,15 @@ def _eigh(m: np.ndarray, vectors: bool = True):
         return _umath_linalg.eigvalsh_lo(m, signature="D->d")
 
 
-def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray | None]:
-    """``density_defects`` of a square array, plus the ascending spectrum it solved.
-
-    The spectrum is that of the hermitized matrix, so it is returned
-    only when the hermitization is ``m`` bit for bit (the same bytes);
-    then it is also ``eigvalsh(m)`` bit for bit.  A zero hermiticity
-    defect is not enough: a zero whose sign differs from its mirror's
-    changes the hermitized bits, and LAPACK's last bits with them.
-    Otherwise None.
-    """
+def _density_spectrum(m: np.ndarray) -> tuple[DensityCheck, np.ndarray, np.ndarray]:
+    """``density_defects`` of a square array, its hermitization and their ascending spectrum."""
     # entries near the double limit overflow to inf and nan here; the
     # eigensolve then reports the failure, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         herm, sym = _hermitize(m)
         trace = float(abs(m.trace() - 1.0))
     w = _eigh(sym, vectors=False)
-    exact = sym.tobytes() == m.tobytes()
-    return DensityCheck(herm, trace, float(w[0])), (w if exact else None)
+    return DensityCheck(herm, trace, float(w[0])), sym, w
 
 
 def density_defects(rho) -> DensityCheck:
@@ -240,7 +231,7 @@ class BipartiteState:
     tol: InitVar[float] = DEFAULT_TOL
 
     # the spectrum validation solved, when it is eigvalsh(rho) bit for
-    # bit (see _density_spectrum); entropies of the state reuse it
+    # bit (see __post_init__); entropies of the state reuse it
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol: float):
@@ -251,12 +242,20 @@ class BipartiteState:
                 f"rho has shape {m.shape}, expected {(n_a * n_b, n_a * n_b)} "
                 f"for dims ({n_a}, {n_b})"
             )
-        check, w = _density_spectrum(m)
+        check, sym, w = _density_spectrum(m)
         _require_density(check, tol)
+        # the spectrum is that of the hermitized matrix, so it is kept
+        # only when the hermitization is ``m`` bit for bit (the same
+        # bytes); then it is also ``eigvalsh(m)`` bit for bit.  A zero
+        # hermiticity defect is not enough: a zero whose sign differs
+        # from its mirror's changes the hermitized bits, and LAPACK's
+        # last bits with them
+        if sym.tobytes() == m.tobytes():
+            w.setflags(write=False)
+        else:
+            w = None
         m = np.array(m)
         m.setflags(write=False)
-        if w is not None:
-            w.setflags(write=False)
         object.__setattr__(self, "rho", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_spectrum", w)

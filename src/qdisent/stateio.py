@@ -403,13 +403,18 @@ def doc_to_matrix(doc) -> tuple[np.ndarray, tuple[int, int]]:
     return rho, (n_a, n_b)
 
 
+def _digest(data: bytes) -> str:
+    """sha256 digest of ``data``, prefixed with the algorithm name."""
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def _read(path) -> tuple[bytes, str]:
     """The file's bytes and their digest: the one read of a state file."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
-    return data, "sha256:" + hashlib.sha256(data).hexdigest()
+    return data, _digest(data)
 
 
 # The fast route's guards.  orjson 3.8.3 returns json.loads's document,
@@ -490,10 +495,10 @@ def load_document(path) -> tuple[dict, str]:
 
 
 def save_state(path, state: BipartiteState, meta: dict | None = None) -> str:
-    """Write the canonical document for ``state``; returns the text written."""
-    text = dumps_canonical(state_to_doc(state, meta))
-    Path(path).write_text(text, encoding="utf-8")
-    return text
+    """Write ``state``'s canonical document, opening ``path`` once; returns the bytes' digest."""
+    data = dumps_canonical(state_to_doc(state, meta)).encode("utf-8")
+    Path(path).write_bytes(data)
+    return _digest(data)
 
 
 def file_digest(path) -> str:

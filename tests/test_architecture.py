@@ -110,11 +110,24 @@ def test_stdout_is_written_only_by_the_report():
 
 def test_each_file_access_has_one_home():
     # rule 4: a state file is read once, by stateio._read, and written
-    # only by save_state; a batch's spool is its only temporary file
+    # once, by save_state; a batch's spool is its only temporary file
     _check_sites({"read_bytes": {"stateio._read"}, "read_text": set(), "open": set(),
-                  "write_text": {"stateio.save_state"}, "write_bytes": set(),
+                  "write_text": set(), "write_bytes": {"stateio.save_state"},
                   "TemporaryFile": {"cli._run_batch"}, "NamedTemporaryFile": set(),
                   "SpooledTemporaryFile": set(), "mkstemp": set()})
+    # save_state returns the digest of what it wrote, so no command reads
+    # back a file: cli calls stateio's readers (_read and the functions
+    # that call it) only to load the state files it is given
+    readers = {"_read"} | {node.name for node in MODULES["stateio"].body
+                           if isinstance(node, ast.FunctionDef) and any(
+                               isinstance(call, ast.Call) and _dotted(call.func) == "_read"
+                               for call in ast.walk(node))}
+    assert readers == {"_read", "load_document", "file_digest"}
+    calls = {(site, _dotted(node.func)) for site, node in _nodes()
+             if site.startswith("cli.") and isinstance(node, ast.Call)
+             and _dotted(node.func).rsplit(".", 1)[-1] in readers}
+    assert calls == {("cli._validate_item", "load_document"),
+                     ("cli._load_state", "load_document")}
 
 
 def test_the_parse_route_has_one_home():
@@ -147,9 +160,11 @@ def test_each_raise_raises_an_allowed_type():
     # ValueError, TypeError or LinAlgError, or the ``exc`` a checking
     # helper is passed, or re-raises (""); each from these sites only
     raised = defaultdict(set)
+    statements = defaultdict(int)
     for site, node in _nodes():
         if isinstance(node, ast.Raise):
             raised[_raised(node)].add(site)
+            statements[_raised(node)] += 1
     assert set(raised) - _subclasses("QDisentError") == {
         "_CliError", "ValueError", "TypeError", "LinAlgError", "exc", ""}
     assert raised == {
@@ -179,6 +194,7 @@ def test_each_raise_raises_an_allowed_type():
         "exc": {"core._guard", "core._check_dims", "core._check_count"},
         "": {"cli._validate_item"},
     }
+    assert statements["_CliError"] == 15  # a site may hold more than one
     helpers = {f"core.{node.name}": {arg.arg for arg in node.args.args}
                for node in MODULES["core"].body if isinstance(node, ast.FunctionDef)}
     assert all("exc" in helpers[site] for site in raised["exc"])

@@ -49,10 +49,11 @@ def as_matrix(grid):
     return np.array([[complex(re, im) for re, im in row] for row in grid])
 
 
-def run_subprocess(cwd, *argv, stdout=subprocess.PIPE, unbuffered=None):
+def run_subprocess(cwd, *argv, stdout=subprocess.PIPE, unbuffered=None, timeout=None):
     """Run ``python -W error -m qdisent.cli`` from ``cwd`` with ``src`` importable.
 
-    ``unbuffered`` set (True or False) sets or clears PYTHONUNBUFFERED.
+    ``unbuffered`` set (True or False) sets or clears PYTHONUNBUFFERED;
+    past ``timeout`` seconds the child is killed and TimeoutExpired raises.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -64,7 +65,7 @@ def run_subprocess(cwd, *argv, stdout=subprocess.PIPE, unbuffered=None):
             env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-W", "error", "-m", "qdisent.cli", *argv],
                           cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True)
+                          text=True, timeout=timeout)
 
 
 def write_doc(path, diag, corner=None):
@@ -501,6 +502,17 @@ def test_an_empty_path_exits_3_before_any_listing(tmp_path, monkeypatch, capsys,
     _deny(monkeypatch, "iterdir", lambda path: True)
     code, out, err = run(capsys, command, "")
     assert (code, out, err) == (3, "", "error: path must not be empty\n")
+
+
+def test_an_empty_out_exits_3_before_generating(tmp_path, monkeypatch, capsys):
+    # Path("") is the current directory, whose write fails only after the draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate was called with an empty --out")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qdisent.cli.generate", refuse)
+    code, out, err = run(capsys, "generate", "bell", "--out", "")
+    assert (code, out, err) == (3, "", "error: --out must not be empty\n")
 
 
 # ----------------------------------------------------------------- tolerance
@@ -1370,6 +1382,29 @@ def test_heavy_damping_stops_on_the_damped_step(tmp_path, monkeypatch, capsys):
     assert (code, err, item["error"]) == (0, "", None)
     assert solver["converged"] and solver["iterations"] == 1
     assert (f"{solver['residual_a']:.3g}", f"{solver['residual_b']:.3g}") == ("0.0285", "0.0892")
+
+
+def test_generate_into_a_pipe_writes_the_state_then_the_report(tmp_path):
+    # generate opens --out once, to write it: a read-back of /dev/stdout
+    # would wait on the pipe forever
+    run_subprocess(tmp_path, "generate", "bell", "--out", "bell.json")
+    state = (tmp_path / "bell.json").read_text(encoding="utf-8")
+    proc = run_subprocess(tmp_path, "generate", "bell", "--out", "/dev/stdout", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(state)
+    report = json.loads(proc.stdout[len(state):])
+    assert report["out"] == "/dev/stdout"
+    assert report["digest"] == file_digest(tmp_path / "bell.json")
+
+
+def test_generate_reports_the_digest_of_what_it_wrote(tmp_path, monkeypatch, capsys):
+    # not that of a read-back: /dev/null reads back as no bytes
+    monkeypatch.chdir(tmp_path)
+    _, regular, _ = run_json(capsys, "generate", "random", "--seed", "3", "--out", "r.json")
+    code, null, err = run_json(capsys, "generate", "random", "--seed", "3",
+                               "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert null["digest"] == regular["digest"] == file_digest(tmp_path / "r.json")
 
 
 def test_subprocess_entry_point(tmp_path):

@@ -79,11 +79,13 @@ def test_resave_is_byte_identical(tmp_path):
     assert file_digest(first) == file_digest(second)
 
 
-def test_save_state_returns_the_text_written(tmp_path):
+def test_save_state_returns_the_digest_of_the_bytes_written(tmp_path):
     state = random_state((2, 2), seed=1)
     path = tmp_path / "s.json"
-    text = save_state(path, state)
-    assert path.read_text() == text
+    digest = save_state(path, state)
+    assert digest == file_digest(path)
+    text = path.read_bytes().decode("utf-8")
+    assert text == dumps_canonical(state_to_doc(state))
     assert text.endswith("\n")
 
 
