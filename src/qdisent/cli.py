@@ -82,9 +82,9 @@ BENCH2Q_MAX_CASES = 10000
 GENERATE_MAX_WORK = 10**8
 # largest ``disentangle --max-iter``, a bound on time only, as the
 # solver's memory does not grow with the sweep count: a sweep takes
-# 60-90 us at 2x2 (2-core VM), so a state that never converges stops at
-# the cap after one to one and a half minutes; the slowest noisy Bell
-# state README names needs about 127,000 sweeps
+# 37-50 us at 2x2 on a quiet 2-core VM and up to 90 us on a busy one, so
+# a state that never converges stops at the cap after 40 to 90 seconds;
+# the slowest noisy Bell state README names needs about 127,000 sweeps
 DISENTANGLE_MAX_ITER = 10**6
 
 _KIND_ALIASES = {kind: kind for kind in GENERATOR_KINDS} | {

@@ -62,8 +62,7 @@ def _half_step(state, side: str, k: int, tol: float):
     contract = _ptrace_plan(state.rho, state.n_a, state.n_b, "B" if side == "A" else "A")
 
     def step(partner: np.ndarray):
-        num = contract(partner if k == 1 else np.linalg.matrix_power(partner, k))
-        den = float(num.trace().real)
+        num, den = contract(partner if k == 1 else np.linalg.matrix_power(partner, k))
         _guard(den > tol, ZeroDenominator, "weighted trace", den, "is not above tol", tol)
         defect, m = _hermitize(num / den)
         w, v = _eigh(m)

@@ -45,8 +45,7 @@ def averaged_projective_state(state: BipartiteState, probs,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
     """The B blocks mixed by ``probs``: the trace over B against diag(probs), renormalized."""
     v = validate_outcome_probs(probs, _check_state(state).n_b, tol)
-    num = _ptrace_plan(state.rho, state.n_a, state.n_b, "B")(np.diag(v))
-    den = float(np.trace(num).real)
+    num, den = _ptrace_plan(state.rho, state.n_a, state.n_b, "B")(np.diag(v))
     _guard(den > tol, ZeroDenominator, "averaged trace", den, "is not above tol", tol)
     return num / den
 

@@ -68,10 +68,35 @@ def _check_sites(allowed: dict[str, set[str]]) -> None:
     assert {name: uses.get(name, set()) for name in allowed} == allowed
 
 
+def _numpy_private() -> set[tuple[str, str]]:
+    """(site, path) for each numpy module or name with a ``_``-led part the package names.
+
+    A path is what an import names (``numpy.linalg._umath_linalg`` for a
+    ``from numpy.linalg import _umath_linalg``) or an attribute chain on
+    ``np`` or ``numpy``.
+    """
+    found = set()
+    for site, node in _nodes():
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            paths = [_dotted(node)]
+        else:
+            continue
+        found.update((site, path) for path in paths if path.split(".")[0] in ("np", "numpy")
+                     and any(part.startswith("_") for part in path.split(".")[1:]))
+    return found
+
+
 def test_one_eigensolve_route():
-    # rule 1: every eigensolve goes through core._eigh's gufuncs, so its
-    # counts and bits are those of one route; no SVD
+    # rule 1: every eigensolve goes through core._eigh's gufuncs, under
+    # its prebuilt error state, so its counts, bits and error handling
+    # are those of one route; no SVD.  numpy's private names, which a
+    # numpy release may move, are named in core only
     _check_sites({"_umath_linalg": {"core", "core._eigh"},
+                  "_extobj_contextvar": {"core", "core._eigh"}, "_make_extobj": {"core"},
                   **dict.fromkeys(("eig", "eigh", "eigvals", "eigvalsh", "svd", "svdvals"),
                                   set())})
     linalg = {node.attr for _, node in _nodes() if isinstance(node, ast.Attribute)
@@ -80,6 +105,9 @@ def test_one_eigensolve_route():
     imported = {alias.name for _, node in _nodes() if isinstance(node, ast.ImportFrom)
                 and node.module in ("numpy.linalg", "scipy.linalg") for alias in node.names}
     assert imported == {"_umath_linalg"}
+    assert _numpy_private() == {("core", "numpy.linalg._umath_linalg"),
+                                ("core", "numpy._core.umath._extobj_contextvar"),
+                                ("core", "numpy._core.umath._make_extobj")}
 
 
 def test_the_basis_layout_lives_in_core():

@@ -4,6 +4,7 @@ import re
 import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,14 +175,18 @@ def _weight(k, seed, kind):
 def test_weighted_ptrace_is_bit_identical_to_the_lifted_product(n_a, n_b, seed, kind,
                                                                 weight_kind, over, power):
     # joint dimensions that are multiples of 4 take the block contraction,
-    # the others the lifted product itself; both must give its bytes
+    # the others the lifted product itself; both must give its bytes,
+    # and the trace that comes with it must be ndarray.trace's
     m = _joint_state(n_a * n_b, seed, kind)
     k, rest = (n_b, n_a) if over == "B" else (n_a, n_b)
     w = np.linalg.matrix_power(_weight(k, seed + 1, weight_kind), power)
     eye = np.eye(rest, dtype=complex)
     lift = np.kron(eye, w) if over == "B" else np.kron(w, eye)
-    got = _ptrace_plan(m, n_a, n_b, over)(w)
-    assert _same_bits(got, _ptrace(m @ lift, n_a, n_b, over))
+    num, den = _ptrace_plan(m, n_a, n_b, over)(w)
+    assert _same_bits(num, _ptrace(m @ lift, n_a, n_b, over))
+    assert type(den) is float
+    want = float(num.trace().real)
+    assert np.float64(den).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_all_names_resolve_once():
@@ -435,3 +440,45 @@ def test_eigensolve_helper_is_numpys_eigh_bit_for_bit(n, seed):
         want_w, want_v = np.linalg.eigh(m)
         assert _same_bits(w, want_w) and _same_bits(v, want_v)
         assert _same_bits(_eigh(m, vectors=False), np.linalg.eigvalsh(m))
+
+
+def _errors():
+    return np.geterr(), np.geterrcall()
+
+
+def test_eigensolve_helper_runs_under_its_own_error_state(monkeypatch):
+    # core._eigh enters a prebuilt error state: inside it the gufuncs see
+    # exactly what np.errstate with the same settings sets, and the
+    # caller's state is back afterwards, after a raise too
+    with np.errstate(call=core._raise_nonconvergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        want = _errors()
+    seen = []
+
+    def recording(a, signature):
+        seen.append(_errors())
+        return np.linalg.eigh(a) if signature == "D->dD" else np.linalg.eigvalsh(a)
+
+    def no_convergence(a, signature):
+        seen.append(_errors())
+        return np.sqrt(np.full(a.shape[-1], -1.0))  # nan with the invalid flag
+
+    def caller_error(*args):
+        raise AssertionError("the caller's handler ran inside _eigh")
+
+    m = np.eye(3, dtype=complex)
+    with np.errstate(all="raise", call=caller_error):
+        caller = _errors()
+        monkeypatch.setattr(core, "_umath_linalg",
+                            SimpleNamespace(eigh_lo=recording, eigvalsh_lo=recording))
+        assert _same_bits(_eigh(m)[0], np.ones(3))
+        assert _same_bits(_eigh(m, vectors=False), np.ones(3))
+        assert _errors() == caller
+        monkeypatch.setattr(core, "_umath_linalg", SimpleNamespace(
+            eigh_lo=no_convergence, eigvalsh_lo=no_convergence))
+        for vectors in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                _eigh(m, vectors)
+            assert _errors() == caller
+    assert seen == [want] * 4
+    assert want != caller

@@ -16,8 +16,6 @@ from qdisent.core import (
     InvalidSpec,
     NotPSDResult,
     ZeroDenominator,
-    _hermitize,
-    _ptrace_plan,
     partial_trace,
     product_state,
 )
@@ -332,13 +330,37 @@ def test_solver_summary_keeps_a_clamp_rounding_cannot_undo():
     assert best.min_eig_seen == min(eigs) < min(eigs[-2:])
 
 
+def _reference_trace(state, weight, over):
+    """The weighted trace written plainly, apart from core's plan.
+
+    A joint dimension that is a multiple of 4 takes one matmul on the
+    block zero-padded to a multiple of 4 columns and ``np.einsum`` on
+    its view; any other takes the lifted product itself.
+    """
+    n_a, n_b = state.dims
+    trace = "abcb->ac" if over == "B" else "abda->bd"
+    if (n_a * n_b) % 4:
+        eye = np.eye(n_a if over == "B" else n_b, dtype=complex)
+        lifted = state.rho @ (np.kron(eye, weight) if over == "B" else np.kron(weight, eye))
+        r = lifted.reshape(n_a, n_b, n_a, n_b)
+        return np.einsum(trace, r if over == "B" else r.transpose(0, 1, 3, 2))
+    r = state.rho.reshape(n_a, n_b, n_a, n_b)
+    r = r if over == "B" else r.transpose(0, 1, 3, 2)
+    k = r.shape[3]
+    padded = np.zeros((k, -(-k // 4) * 4), dtype=complex)
+    padded[:, :k] = weight
+    out = r.reshape(-1, k) @ padded
+    return np.einsum(trace, out.reshape(*r.shape[:3], -1)[..., :k])
+
+
 def _reference_half_step(state, partner, over, k):
-    """One half-step written plainly: a one-shot ``_ptrace_plan`` and ``np.linalg.eigh``."""
+    """One half-step written plainly: its own trace, hermitization and ``np.linalg.eigh``."""
     weight = partner if k == 1 else np.linalg.matrix_power(partner, k)
-    num = _ptrace_plan(state.rho, state.n_a, state.n_b, over)(weight)
+    num = _reference_trace(state, weight, over)
     den = float(num.trace().real)
     assert den > DEFAULT_TOL
-    defect, m = _hermitize(num / den)
+    q = num / den
+    defect, m = float(np.abs(q - q.conj().T).max()), (q + q.conj().T) / 2.0
     w, v = np.linalg.eigh(m)
     low = float(w[0])
     assert low >= -DEFAULT_TOL
