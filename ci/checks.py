@@ -82,14 +82,15 @@ def texts17(out: Path) -> bool:
 
 
 def parse17(out: Path) -> bool:
-    """The parse-side twin of texts17: a state file's bytes go to orjson, in stateio._parse_fast,
-    where three guards on them pass, and must then give json.loads's document.  Sweep 2,000,000
-    seeded float64 bit patterns, the finite ones, written as lists in %.17g and in repr and
-    rendered as 64x64 grid state documents, each through load_document and json.loads: every
-    value keeps its type and bits, and every document takes the fast route."""
+    """The parse-side twin of texts17: a state file's grid goes to orjson as one flat list of
+    numbers, in stateio._parse_grid, and must then give the matrix json.loads's grid gives.  Sweep
+    2,000,000 seeded float64 bit patterns, the finite ones below 1e18 in magnitude (the grid
+    route's bound), rendered as 64x64 grid state documents in %.17g and in repr, each through
+    load_document and json.loads, then doc_to_matrix: every value keeps its bits, and every
+    document takes the grid route."""
     from test_stateio import parse17_mismatches
     bad, off_route = parse17_mismatches(2_000_000, seed=1, directory=out)
-    print(f"{bad} values parsed to other bits, {off_route} documents off the fast route")
+    print(f"{bad} values parsed to other bits, {off_route} documents off the grid route")
     return bool(bad or off_route)
 
 

@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -369,9 +370,10 @@ def _walk_grid(grid: list, n: int) -> np.ndarray:
 def doc_to_matrix(doc) -> tuple[np.ndarray, tuple[int, int]]:
     """Structural parse only: the raw grid and dims, no density checks.
 
-    Raises StateFormatError for any schema violation, non-finite
-    entries included; whether the grid is an actual density matrix is
-    left to the caller.
+    ``rho`` is a grid of ``[re, im]`` lists or a finite complex n x n array,
+    returned as it is.  Raises StateFormatError for any schema violation,
+    non-finite entries included; whether the grid is an actual density
+    matrix is left to the caller.
     """
     if not isinstance(doc, dict):
         raise StateFormatError("top level must be an object")
@@ -388,10 +390,12 @@ def doc_to_matrix(doc) -> tuple[np.ndarray, tuple[int, int]]:
     n_b = _want_int(dims[1], "dims[1]")
     n = n_a * n_b
     grid = doc["rho"]
-    if not isinstance(grid, list) or len(grid) != n:
+    if (isinstance(grid, np.ndarray) and grid.dtype == complex and grid.shape == (n, n)
+            and np.isfinite(grid).all()):
+        rho = grid
+    elif not isinstance(grid, list) or len(grid) != n:
         raise StateFormatError(f"rho must be a list of {n} rows")
-    rho = _screen_grid(grid, n)
-    if rho is None:
+    elif (rho := _screen_grid(grid, n)) is None:
         rho = _walk_grid(grid, n)
     meta = doc.get("meta")
     if meta is not None:
@@ -417,64 +421,75 @@ def _read(path) -> tuple[bytes, str]:
     return data, _digest(data)
 
 
-# The fast route's guards.  orjson 3.8.3 returns json.loads's document,
-# types, key order and float bits alike, on bytes that pass all three;
-# each keeps one of its differences on json's route:
-# - an escape: json keeps a lone surrogate ("\ud800") that orjson
-#   refuses, and with no escape every '"' opens or closes a string, which
-#   the depth count below relies on
-# - _LONG_DIGITS or more digits in a row after a byte that is no digit
-#   or point: orjson returns an integer past 64 bits as a float, and a
-#   negative one of 19 digits can be past 63.  A run at byte 0 needs no
-#   guard: it holds no object, which _parse_fast turns down anyway
-# - nesting deeper than _FAST_DEPTH outside strings: orjson has no
-#   nesting limit and overflows the C stack (16,000 - 24,000 levels on a
-#   1 MiB stack); json refuses beyond about 985 levels under cli.main,
-#   and a deeper document that orjson did parse would reach _want_real's
-#   repr and raise RecursionError there, so the bound sits far below both
-_LONG_DIGITS = 19
-_FAST_DEPTH = 512
-# digits to "0", the point kept, every other byte to " "
-_NUMERALS = b"".join(b"0" if c in b"0123456789" else b"." if c == ord(".") else b" "
-                     for c in range(256))
-# every byte but the brackets and the quote, for translate to delete
-_NOT_NESTING = bytes(c for c in range(256) if c not in b'[]{}"')
-_NESTING_STEP = np.zeros(256, dtype=np.intp)
-_NESTING_STEP[list(b"[{")], _NESTING_STEP[list(b"]}")] = 1, -1
+# _parse_grid's tables: number bytes to NUL (and NUL to 1), so that with whitespace deleted a
+# grid is its brackets and commas with one run of NULs a number; brackets to spaces, for one list
+_NUMBER_RUNS = bytes.maketrans(b"\0" + b"0123456789+-.eE", b"\1" + b"\0" * 15)
+_FLAT = bytes.maketrans(b"[]", b"  ")
+_GRID_KEY = re.compile(rb'"rho"[ \t\n\r]*:[ \t\n\r]*\[')
 
 
-def _depth(data: bytes) -> int:
-    """The deepest nesting of brackets outside strings, for bytes with no ``\\``."""
-    nesting = data.translate(None, _NOT_NESTING).split(b'"')[::2]  # drop the strings
-    steps = _NESTING_STEP[np.frombuffer(b"".join(nesting), dtype=np.uint8)]
-    return int(np.cumsum(steps).max(initial=0))
+def _layout(codes: np.ndarray) -> tuple[bytes, bytes]:
+    """The codes that are not NUL, in order, and for each gap between two whether it has any;
+    found 64 KiB at a time and placed as int32 (fewer than 2**31 codes), so no array is large."""
+    marks = np.concatenate([np.flatnonzero(codes[i:i + 65536] != 0).astype(np.int32) + i
+                            for i in range(0, len(codes), 65536)])
+    return codes[marks].tobytes(), (marks[1:] - marks[:-1] > 1).tobytes()
 
 
-def _parse_fast(data: bytes) -> dict | None:
-    """The object ``data`` holds, parsed by orjson, or None to leave it to json.
+@functools.lru_cache(maxsize=8)
+def _skeleton(n: int) -> tuple[bytes, bytes]:
+    """The ``_layout`` of an n x n grid of pairs, each number one NUL."""
+    row = b"[" + b",".join([b"[\0,\0]"] * n) + b"]"
+    return _layout(np.frombuffer(b"[" + b",".join([row] * n) + b"]", np.uint8))
 
-    None when the guards above fail, when orjson rejects the bytes (json
-    then gives the error text, or the document orjson cannot: ``NaN``,
-    ``1e400``) or when they hold no object, so that every error stays
-    json's.
+
+def _parse_grid(data: bytes) -> dict | None:
+    """json's document of ``data`` with its ``rho`` already the complex matrix, or None.
+
+    The grid runs from the ``[`` after the one ``"rho"`` key to the last ``]`` before the
+    next quote.  With no backslash every quote opens or closes a string, so if json reads
+    the file with ``[]`` there, which has the grid's end bytes, as an object whose ``rho``
+    is that ``[]``, and the grid has numbers where a pair's go and whitespace elsewhere,
+    the file is that object with the grid as ``rho`` (RFC 8259).  Values below 1e18 are
+    finite and no integer orjson reads past 64 bits: ``_screen_grid``'s bits.  None leaves
+    the file, and its error text, to json's route.
     """
-    if (b"\\" in data or _depth(data) > _FAST_DEPTH
-            or b" " + b"0" * _LONG_DIGITS in data.translate(_NUMERALS)):
+    if b"\\" in data or (key := _GRID_KEY.search(data)) is None:
         return None
-    try:
-        doc = orjson.loads(data)
+    start = key.end() - 1
+    quote = data.find(b'"', start)
+    end = data.rfind(b"]", start, len(data) if quote < 0 else quote) + 1
+    rest = data[:start] + b"[]" + data[end:]
+    try:  # load_document's strict UTF-8; JSON strings hold no raw CR for newlines to turn
+        doc = json.loads(rest.decode("utf-8"))
+    except (ValueError, RecursionError):  # the decode, the grammar, the int digit limit
+        return None
+    dims = doc.get("dims") if isinstance(doc, dict) and doc.get("rho") == [] else None
+    if (rest.count(b'"rho"') != 1 or type(dims) is not list or len(dims) != 2 or end >= 2 ** 31
+            or not all(type(d) is int and d >= 1 for d in dims)
+            or 4 * (n := dims[0] * dims[1]) * n + 2 * n + 1 > end - start  # too long: not built
+            or _layout(np.frombuffer(data[start:end].translate(_NUMBER_RUNS, b" \t\n\r"),
+                                     np.uint8)) != _skeleton(n)):
+        return None
+    try:  # one expression: each temporary goes as the next one is made
+        values = np.array(orjson.loads(b"[" + data[start + 1:end - 1].translate(_FLAT) + b"]"),
+                          dtype=float)
     except orjson.JSONDecodeError:
         return None
-    return doc if isinstance(doc, dict) else None
+    if values.shape != (2 * n * n,) or not np.abs(values).max() < 1e18:
+        return None
+    doc["rho"] = values.view(complex).reshape(n, n)
+    return doc
 
 
 def load_document(path) -> tuple[dict, str]:
     """Parse a state file, uninterpreted: (document, digest of the bytes parsed).
 
-    By ``_parse_fast`` where it takes the bytes, else by ``json.loads``.
+    By ``_parse_grid``, whose document holds ``rho`` as the complex matrix,
+    where it takes the bytes, else by ``json.loads``.
     """
     data, digest = _read(path)
-    doc = _parse_fast(data)
+    doc = _parse_grid(data)
     if doc is not None:
         return doc, digest
     try:  # decode as read_text does: universal newlines, same error positions

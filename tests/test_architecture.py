@@ -159,11 +159,12 @@ def test_each_file_access_has_one_home():
 
 
 def test_the_parse_route_has_one_home():
-    # a state file's bytes are parsed by orjson in stateio._parse_fast or,
-    # where its guards or orjson turn them down, by json.loads in
-    # load_document, so every error text is json's: no third parser
-    _check_sites({"orjson": {"stateio", "stateio._parse_fast"},
-                  "loads": {"stateio._parse_fast", "stateio.load_document"},
+    # a state file's bytes are parsed in stateio._parse_grid, json.loads
+    # reading all but the grid and orjson the grid's numbers as one flat
+    # list, or, where it turns them down, by json.loads in load_document,
+    # so every error text is json's: no third parser
+    _check_sites({"orjson": {"stateio", "stateio._parse_grid"},
+                  "loads": {"stateio._parse_grid", "stateio.load_document"},
                   "load": set(), "raw_decode": set(), "JSONDecoder": set()})
 
 

@@ -22,7 +22,7 @@ import pytest
 from qdisent import cli, core, file_digest
 from qdisent.cli import build_parser, main
 from qdisent.correlated import disentanglement_report
-from qdisent.stateio import dumps_canonical, save_state
+from qdisent.stateio import _parse_grid, dumps_canonical, save_state
 from qdisent.states import GENERATOR_KINDS, random_state
 from test_properties import top_kronecker_pair
 
@@ -1039,11 +1039,14 @@ def default_gc_thresholds():
 
 
 def test_no_collection_starts_while_an_item_runs(tmp_path, capsys, default_gc_thresholds):
-    # json.loads of a 200 KB 8x8 state file builds about 4,160 lists,
-    # which would set off young collections; none can find a cycle in a
-    # parse tree, so items run with the collector paused
+    # a 200 KB 8x8 state file read on json's route is a tree of about
+    # 4,160 lists, which would set off young collections; none can find a
+    # cycle in a parse tree, so items run with the collector paused.  The
+    # escape its meta needs keeps this file off the grid route, whose one
+    # list of floats would set off none
     path = str(tmp_path / "s.json")
-    save_state(path, random_state((8, 8), seed=4))
+    save_state(path, random_state((8, 8), seed=4), meta={"note": "é"})
+    assert _parse_grid(Path(path).read_bytes()) is None
     assert run(capsys, "validate", path)[0] == 0  # a warm-up run: first-use setup is done
     assert gc.isenabled()
     starts = []

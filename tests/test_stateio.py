@@ -5,15 +5,15 @@ import importlib.util
 import io
 import json
 import math
-import operator
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
-from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,15 +34,15 @@ from qdisent import (
     save_state,
     state_to_doc,
 )
+from qdisent import stateio
 from qdisent.cli import main as cli_main
 from qdisent.stateio import (
     _DIGITS4,
     _EXPONENTS,
-    _FAST_DEPTH,
     _MIRROR_MIN_N,
     _PREFIXES,
     _codes17,
-    _parse_fast,
+    _parse_grid,
     _round17,
     _screen_grid,
     _walk_grid,
@@ -67,6 +67,20 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, dims):
     assert back.dims == dims
     # %.17g regenerates every double exactly
     assert np.array_equal(back.rho, state.rho)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4), (8, 8)])
+def test_what_save_state_and_json_dumps_write_takes_the_grid_route(tmp_path, dims):
+    state = random_state(dims, seed=3)
+    path = tmp_path / "state.json"
+    save_state(path, state, meta={"kind": "random", "dims": "%dx%d" % dims, "seed": "3"})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for data in (path.read_bytes(), json.dumps(doc).encode(),
+                 json.dumps(doc, separators=(",", ":")).encode(),
+                 json.dumps(doc, indent=2).encode()):
+        got = _parse_grid(data)
+        assert got is not None
+        assert np.array_equal(_bits(got["rho"]), _bits(state.rho + 0.0))  # -0.0 prints as 0
 
 
 def test_resave_is_byte_identical(tmp_path):
@@ -453,6 +467,33 @@ def test_doc_to_matrix_rejects_bad_grid_shape():
         doc_to_matrix(doc)
 
 
+def test_doc_to_matrix_takes_a_state_documents_matrix_as_it_is():
+    # state_to_doc holds the state's own matrix as rho, as the grid route
+    # holds the grid's
+    state = random_state((2, 3), seed=5)
+    rho, dims = doc_to_matrix(state_to_doc(state, {"kind": "random"}))
+    assert rho is state.rho
+    assert dims == (2, 3)
+    assert np.array_equal(_bits(BipartiteState(rho, dims).rho), _bits(state.rho))
+
+
+def _with_entry(value):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = value
+    return m
+
+
+@pytest.mark.parametrize("rho", [
+    _with_entry(np.nan), _with_entry(complex(0, np.inf)), np.eye(4) / 4,
+    np.eye(4, dtype=np.complex64) / 4, np.eye(4, dtype=complex)[:3], np.eye(2, dtype=complex),
+    np.eye(16, dtype=complex).reshape(4, 4, 4, 4), (np.eye(4, dtype=complex) / 4).ravel(),
+], ids=["nan", "inf_imag", "real", "complex64", "3_rows", "2x2", "4_axes", "flat"])
+def test_doc_to_matrix_turns_down_any_other_array(rho):
+    with pytest.raises(StateFormatError) as info:
+        doc_to_matrix({"dims": [2, 2], "rho": rho})
+    assert str(info.value) == "rho must be a list of 4 rows"
+
+
 def test_doc_to_matrix_rejects_bad_cells():
     for cell in ([1.0], [1.0, 0.0, 0.0], ["1", "0"], [True, 0.0], 1.0, None):
         doc = _good_doc()
@@ -546,7 +587,8 @@ def test_load_document_digests_the_bytes_it_parsed(tmp_path):
     path = tmp_path / "crlf.json"
     path.write_bytes(b'{\r\n  "dims": [1, 1],\r\n  "rho": [[[1, 0]]]\r\n}\r\n')
     doc, digest = load_document(path)
-    assert doc == {"dims": [1, 1], "rho": [[[1, 0]]]}
+    # the grid route's document: rho is the matrix
+    assert _strict(doc) == _strict({"dims": [1, 1], "rho": np.array([[1 + 0j]])})
     assert digest == file_digest(path) == (
         "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest())
 
@@ -847,16 +889,20 @@ def test_huge_integer_cell_is_a_format_error():
     assert str(info.value) == "rho[0][1][1] must be finite, got 1" + "0" * 400
 
 
-# ------------------------------------------------------------ the fast parse
+# ------------------------------------------------------------ the grid parse
 #
-# load_document parses with orjson when _parse_fast's guards pass, else with
-# json.loads; whatever orjson returns must be what json.loads returns.
+# load_document parses a state file's grid in _parse_grid, orjson reading its
+# numbers as one flat list and json.loads the rest of the file; where
+# _parse_grid turns the bytes down, json.loads parses all of them.  Either way
+# the matrix, the dims and the rest of the document are json.loads's, and so
+# is every error text.
 
 
 def _strict(value):
     """``value`` in pre-order, each container with its size, each leaf with its
-    type and float bits: ``==`` takes ``1``, ``1.0`` and ``True`` for one
-    another, and ``0.0`` for ``-0.0``.  A flat list, so any depth compares."""
+    type and float bits, an array with its shape and bits: ``==`` takes ``1``,
+    ``1.0`` and ``True`` for one another, and ``0.0`` for ``-0.0``.  A flat
+    list, so any depth compares."""
     tokens, stack = [], [value]
     while stack:
         value = stack.pop()
@@ -867,6 +913,8 @@ def _strict(value):
         elif isinstance(value, list):
             tokens.append(("list", len(value)))
             stack += reversed(value)
+        elif isinstance(value, np.ndarray):
+            tokens.append((value.dtype.str, value.shape, _bits(value).tobytes()))
         else:
             tokens.append((type(value).__name__,
                            value.hex() if isinstance(value, float) else value))
@@ -882,8 +930,8 @@ def _json_values(clean):
     """JSON texts of nested lists and objects of numbers, words and strings.
 
     A ``clean`` one has no escape, control character, ``NaN``,
-    ``Infinity``, ``1e400`` or integer of 19 digits or more, so most go the
-    fast route; the others may hold any of them, and raw quotes.
+    ``Infinity``, ``1e400`` or integer of 19 digits or more; the others
+    may hold any of them, and raw quotes.
     """
     digits = st.integers(1, 18 if clean else 25)
     integers = st.tuples(st.sampled_from(("", "-")), digits).flatmap(
@@ -914,107 +962,272 @@ def _json_values(clean):
             st.tuples(st.lists(st.tuples(keys, values), max_size=4), separators).map(
                 lambda t: "{" + t[1].join(f"{k}: {v}" for k, v in t[0]) + "}"))
 
-    values = st.recursive(st.one_of(integers, floats, words, strings), containers, max_leaves=12)
-    objects = st.lists(st.tuples(keys, values), max_size=5).map(
-        lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}\n")
-    return _mostly(objects, values)
+    return st.recursive(st.one_of(integers, floats, words, strings), containers, max_leaves=12)
 
 
 JSON_TEXTS = {clean: _json_values(clean) for clean in (True, False)}
+# leaves a grid may hold in place of a number: the ones json reads to the
+# same number as a float below 1e18 in magnitude, then the ones that send
+# the file to json's route (too large, not a number, not JSON)
+ODD_LEAVES = ("-0", "-0.0", "0e0", "1E-5", "99999999999999999", "-999999999999999872",
+              "999999999999999999", "1000000000000000000", "-9223372036854775809",
+              "18446744073709551616", "1" * 25, "1e18", "-1e18", "1.7e308", "1e400", "NaN",
+              "-Infinity", "true", "false", "null", '"0"', '"[,]"', "[]", "{}", "[1, 2]", "01",
+              "1.", ".5", "+1", "1 2")
+SMALL_DOUBLES = st.one_of(st.sampled_from([x for x in EDGE_DOUBLES if abs(x) < 1e18]),
+                          st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300))
+
+
+PERTURBATIONS = ("odd_leaf", "short_row", "triple", "misplaced", "grid_suffix", "dims",
+                 "meta", "extra_key", "rho_twice", "overwrite", "bom", "trailing")
 
 
 @st.composite
-def _json_bytes(draw):
-    """A JSON text as UTF-8, half of them clean; the others may have a few
-    bytes overwritten and a BOM put in front."""
-    clean = draw(st.booleans())
-    data = bytearray(draw(JSON_TEXTS[clean]).encode("utf-8"))
-    if not clean:
-        for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
-            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
-        if draw(st.integers(0, 4)) == 0:
-            data[:0] = b"\xef\xbb\xbf"
+def _state_bytes(draw):
+    """A state document as some writer might lay it out, half of them perturbed.
+
+    Its leaves print in one of four float formats, or as integers, with
+    any JSON whitespace, CRLF too, and its keys in any order; ``meta`` may
+    hold brackets.  A perturbed one has one or two of: a few odd leaves, a
+    short row, a triple cell, a number past its cell's ``]``, junk after
+    the grid, wrong dims, ``"rho"`` or any JSON value in ``meta``, an extra
+    key, a second ``rho``, overwritten bytes, a BOM, junk after the file.
+    """
+    count = draw(st.sampled_from((0, 0, 0, 1, 1, 2)))
+    kinds = draw(st.lists(st.sampled_from(PERTURBATIONS), min_size=count, max_size=count))
+    n_a, n_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = n_a * n_b
+    fmt = draw(st.sampled_from(("%.17g", "%r", "%.25g", "%.3e", "int")))
+    values = draw(st.lists(SMALL_DOUBLES, min_size=2 * n * n, max_size=2 * n * n))
+    leaves = [str(int(v)) if fmt == "int" else fmt % v for v in values]
+    for _ in range(draw(st.integers(1, 3)) if "odd_leaf" in kinds else 0):
+        leaves[draw(st.integers(0, len(leaves) - 1))] = draw(st.sampled_from(ODD_LEAVES))
+    sep = draw(st.sampled_from((", ", ",", ",\n    ", " ,\t", ",\r\n  ")))
+    pad = draw(st.sampled_from(("", "", " ", "\n  ", "\r\n")))
+    cells = [f"[{pad}{leaves[2 * k]}{sep}{leaves[2 * k + 1]}{pad}]" for k in range(n * n)]
+    k = draw(st.integers(0, n * n - 1))
+    if "triple" in kinds:
+        cells[k] = cells[k][:-1] + sep + "0]"
+    if "misplaced" in kinds:  # "[a, ]b": the skeleton of a pair, not JSON
+        cells[k] = f"[{leaves[2 * k]}{sep}{pad}]{leaves[2 * k + 1]}"
+    rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+    if "short_row" in kinds:
+        del rows[k // n][-1]
+    grid = "[" + pad + sep.join("[" + pad + sep.join(row) + pad + "]" for row in rows) + pad + "]"
+    if "grid_suffix" in kinds:
+        grid += draw(st.sampled_from((".5", "0", "]", " ]", "e5")))
+    dims = f"[{n_a}, {n_b}]"
+    if "dims" in kinds:
+        dims = draw(st.sampled_from((f"[{n_b}, {n_a}]", f"[{n_a}, {n_b}, 1]", f"[true, {n_b}]",
+                                     f"[0, {n}]", f"[{n_a}.0, {n_b}]", '"2x2"', f"[{n}]")))
+    fields = [('"dims"', dims), ('"rho"', grid)]
+    meta = draw(st.sampled_from((None, None, '"random"', '"[,]"', '"a]b"', '"é"')))
+    if "meta" in kinds:
+        meta = draw(st.one_of(st.sampled_from(('"rho"', '"\\u00e9"', '{"rho": "x"}')),
+                              JSON_TEXTS[True], JSON_TEXTS[False]))
+    if meta is not None:
+        fields.append(('"meta"', '{"kind": ' + meta + "}"))
+    if "extra_key" in kinds:
+        fields.append((draw(st.sampled_from(('"extra"', '"rho "', '"dims"'))), "1"))
+    if "rho_twice" in kinds:
+        fields.append(('"rho"', grid))
+    colon = draw(st.sampled_from((": ", ":", " : ", ":\r\n")))
+    comma = draw(st.sampled_from((",\n  ", ", ", ",", ",\r\n")))
+    text = "{" + comma.join(key + colon + value for key, value in draw(st.permutations(fields)))
+    data = bytearray((text + "}" + draw(st.sampled_from(("\n", "", "\r\n", " ")))).encode())
+    for _ in range(draw(st.integers(1, 2)) if "overwrite" in kinds else 0):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if "bom" in kinds:
+        data[:0] = b"\xef\xbb\xbf"
+    if "trailing" in kinds:
+        data += draw(st.sampled_from((b"]", b"x", b"}", b"0", b" []")))
     return bytes(data)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_json_bytes())
-def test_the_fast_route_returns_json_loads_document(data):
-    doc = _parse_fast(data)
-    if doc is not None:
-        assert _strict(doc) == _strict(_json_loads(data))
+def _outcome(path):
+    """(dims, the matrix's bits, the rest of the document) as the command
+    line loads ``path``, or the text of the error it raises."""
+    try:
+        doc, _ = load_document(path)
+        rho, dims = doc_to_matrix(doc)
+    except StateFormatError as exc:
+        return str(exc)
+    return dims, _bits(rho).tobytes(), _strict({k: v for k, v in doc.items() if k != "rho"})
 
 
-def _nested(depth):
-    """``depth`` empty lists, one inside the next."""
-    value = []
-    for _ in range(depth - 1):
-        value = [value]
-    return value
+def _json_outcome(path):
+    """``_outcome`` with every file on json's route."""
+    with mock.patch.object(stateio, "_parse_grid", lambda data: None):
+        return _outcome(path)
+
+
+# the share of _state_bytes documents the grid route must take: four runs of
+# 500 examples took 49% - 67% of them
+GRID_ROUTE_SHARE = (0.3, 0.85)
+
+
+def test_either_route_gives_json_loads_matrix_or_error_text():
+    on_grid = []
+
+    @settings(max_examples=500, deadline=None)
+    @given(_state_bytes())
+    def same_as_json(data):
+        on_grid.append(_parse_grid(data) is not None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            path.write_bytes(data)
+            assert _outcome(path) == _json_outcome(path)
+
+    same_as_json()
+    share = sum(on_grid) / len(on_grid)
+    assert GRID_ROUTE_SHARE[0] <= share <= GRID_ROUTE_SHARE[1], share
+
+
+def test_large_dims_build_no_skeleton():
+    # the skeleton of dims 65536 x 65536 would hold 2**66 bytes: a grid
+    # shorter than it is turned down before one is built
+    with mock.patch.object(stateio, "_skeleton", side_effect=AssertionError):
+        assert _parse_grid(b'{"dims": [65536, 65536], "rho": [[[0.5, 0.25]]]}') is None
+    assert _parse_grid(b'{"dims": [1, 1], "rho": [[[0.5, 0.25]]]}') is not None
+
+
+def test_a_large_grid_read_holds_its_file_under_3_35_times(tmp_path):
+    # load_document and doc_to_matrix of a 16x16 random state file (3.3 MB)
+    # peak while the bytes, the grid's numbers as one flat text and orjson's
+    # list of them are all live: 3.26 times the file (numpy 2.4.6, orjson
+    # 3.8.3; 3.53 times on json's route), so one more copy of a grid-sized
+    # temporary held there goes over
+    path = tmp_path / "s.json"
+    save_state(path, random_state((16, 16), seed=1))
+    size = path.stat().st_size
+    doc_to_matrix(load_document(path)[0])  # the skeleton is built and cached
+    tracemalloc.start()
+    try:
+        doc_to_matrix(load_document(path)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 3_000_000
+    assert peak < 3.35 * size
 
 
 _NOT_AN_OBJECT = "top level must be an object"
 
 
-def _in_object(depth):
-    """An object holding ``depth - 1`` nested lists: ``depth`` levels in all."""
-    return b'{"a": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
+def _state(grid=b"[[[0.5, 0.25]]]", dims=b"[1, 1]", before=b"", after=b""):
+    """A 1 x 1 state document's bytes, with ``before`` and ``after`` inside its braces."""
+    return b'{' + before + b'"dims": ' + dims + b', "rho": ' + grid + after + b"}"
+
+
+_HALF = {"dims": [1, 1], "rho": [[[0.5, 0.25]]]}
 
 
 @pytest.mark.parametrize("data, route, want", [
     (b'{"a": 18446744073709551616}', "json", {"a": 2 ** 64}),
     (b'{"a": ' + b"1" * 30 + b"}", "json", {"a": int("1" * 30)}),
     (b'{"a": -9999999999999999999}', "json", {"a": -9999999999999999999}),
-    (b'{"a": -999999999999999999}', "orjson", {"a": -999999999999999999}),
-    (b'{"a": 1.' + b"1" * 30 + b"}", "orjson", {"a": 1.1111111111111112}),
+    (b'{"a": -999999999999999999}', "json", {"a": -999999999999999999}),
+    (b'{"a": 1.' + b"1" * 30 + b"}", "json", {"a": 1.1111111111111112}),
     (b'{"a": NaN}', "json", {"a": math.nan}),
     (b'{"a": 1e400}', "json", {"a": math.inf}),
     (b'{"a": "\\ud800"}', "json", {"a": "\ud800"}),
     (b'\xef\xbb\xbf{"a": 1}', "json", "is not valid JSON: Unexpected UTF-8 BOM"
      " (decode using utf-8-sig): line 1 column 1 (char 0)"),
-    (b'{\r\n  "a": [1, -0.0]\r\n}\r\n', "orjson", {"a": [1, -0.0]}),
-    (b'{"b": 1, "a": 2, "b": 3.0}', "orjson", {"b": 3.0, "a": 2}),
+    (b'{\r\n  "a": [1, -0.0]\r\n}\r\n', "json", {"a": [1, -0.0]}),
+    (b'{"b": 1, "a": 2, "b": 3.0}', "json", {"b": 3.0, "a": 2}),
     (b'{"a": "x\\\\y"}', "json", {"a": "x\\y"}),
     (b'{"a": "x\\y"}', "json", "is not valid JSON: Invalid \\escape: line 1 column 9 (char 8)"),
     (b'{"a": "\xc0\xaf"}', "json", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xc0"
      " in position 7: invalid start byte"),
-    (_in_object(_FAST_DEPTH), "orjson", {"a": _nested(_FAST_DEPTH - 1)}),
-    (_in_object(_FAST_DEPTH + 1), "json", {"a": _nested(_FAST_DEPTH)}),
     (b"[" * 200_000 + b"]" * 200_000, "json", "nests too deeply to parse"),
     (b'{"a": [1, 2]', "json", "is not valid JSON: Expecting ',' delimiter:"
      " line 1 column 13 (char 12)"),
-    # a digit run at byte 0 has no byte before it for the long-digit
-    # guard to see; it is no object, so it takes json's route all the same
     (b"1" * 30, "json", _NOT_AN_OBJECT),
     (b" " + b"1" * 30, "json", _NOT_AN_OBJECT),
     (b"\xef\xbb\xbf" + b"1" * 30, "json", "is not valid JSON: Unexpected UTF-8 BOM"
      " (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    # state documents
+    (_state(), "grid", _HALF),
+    (json.dumps(_HALF).encode(), "grid", _HALF),
+    (json.dumps(_HALF, indent=2).encode(), "grid", _HALF),
+    (json.dumps(_HALF, separators=(",", ":")).encode(), "grid", _HALF),
+    (_state(b"[ [ [0.5 ,\t0.25 ] ] ]").replace(b" ", b"\r\n"), "grid", _HALF),
+    (b'{"rho": [[[0.5, 0.25]]], "dims": [1, 1]}', "grid", {"rho": [[[0.5, 0.25]]],
+                                                           "dims": [1, 1]}),
+    (_state(after=b', "meta": {"k": "a]b"}'), "grid", {**_HALF, "meta": {"k": "a]b"}}),
+    (_state(after=b', "extra": [1]'), "grid", {**_HALF, "extra": [1]}),
+    (_state(b"[[[-0, -0.0]]]"), "grid", {"dims": [1, 1], "rho": [[[0, -0.0]]]}),
+    (_state(b"[[[99999999999999999, 1E-5]]]"), "grid",
+     {"dims": [1, 1], "rho": [[[99999999999999999, 1e-5]]]}),
+    # "[]" has the grid's first and last byte: a "0" in its place would
+    # have read the grid's "]]].5" as 0.5
+    (_state(b"[[[0.5, 0.25]]].5"), "json", "is not valid JSON: Expecting ',' delimiter:"
+     " line 1 column 40 (char 39)"),
+    # the skeleton of a pair with its second number past the "]"
+    (_state(b"[[[0.5,]0.25]]"), "json", "is not valid JSON: Expecting value:"
+     " line 1 column 32 (char 31)"),
+    (_state(b"[[[0.5, 0.25]]]e5"), "json", "is not valid JSON: Expecting ',' delimiter:"
+     " line 1 column 40 (char 39)"),
+    (_state(before=b'"meta": {"k": "rho"}, '), "json", {"meta": {"k": "rho"}, **_HALF}),
+    (_state(after=b', "meta": {"rho": "x"}'), "json", {**_HALF, "meta": {"rho": "x"}}),
+    (_state(after=b', "rho": [[[1, 0]]]'), "json", {"dims": [1, 1], "rho": [[[1, 0]]]}),
+    (_state(b"[]", before=b'"meta": {"rho": [[[0.5, 0.25]]]}, '), "json",
+     {"meta": {"rho": [[[0.5, 0.25]]]}, "dims": [1, 1], "rho": []}),
+    (b'{"dims": [1, 1], "meta": {"rho": [[[0.5, 0.25]]]}}', "json",
+     {"dims": [1, 1], "meta": {"rho": [[[0.5, 0.25]]]}}),
+    # with escapes the one '"rho"' can end another key, and "rho" be spelt otherwise
+    (b'{"x\\"rho": [[[0.5, 0.25]]], "dims": [1, 1], "\\u0072ho": []}', "json",
+     {'x"rho': [[[0.5, 0.25]]], "dims": [1, 1], "rho": []}),
+    (b'[' + _state() + b']', "json", _NOT_AN_OBJECT),
+    # no leaf of 19 digits or more, and none that reads to 1e18 or more
+    (_state(b"[[[1000000000000000000, 0]]]"), "json",
+     {"dims": [1, 1], "rho": [[[1000000000000000000, 0]]]}),
+    (_state(b"[[[999999999999999999, 0]]]"), "json",
+     {"dims": [1, 1], "rho": [[[999999999999999999, 0]]]}),
+    (_state(b"[[[1e18, 0]]]"), "json", {"dims": [1, 1], "rho": [[[1e18, 0]]]}),
+    (_state(b"[[[0, 1e400]]]"), "json", {"dims": [1, 1], "rho": [[[0, math.inf]]]}),
+    (_state(b"[[[true, 0]]]"), "json", {"dims": [1, 1], "rho": [[[True, 0]]]}),
+    (_state(b'[[["[,]", 0]]]'), "json", {"dims": [1, 1], "rho": [[["[,]", 0]]]}),
+    (_state(b"[[[0.5, 0.25], [0, 0]]]"), "json", {"dims": [1, 1],
+                                                  "rho": [[[0.5, 0.25], [0, 0]]]}),
+    (_state(b"[]", b"[0, 1]"), "json", {"dims": [0, 1], "rho": []}),
+    (_state(dims=b"[true, 1]"), "json", {"dims": [True, 1], "rho": [[[0.5, 0.25]]]}),
+    (b"\xef\xbb\xbf" + _state(), "json", "is not valid JSON: Unexpected UTF-8 BOM"
+     " (decode using utf-8-sig): line 1 column 1 (char 0)"),
 ], ids=["beyond_64_bits", "thirty_ones", "19_digits", "18_digits", "31_digit_float",
         "nan", "1e400", "lone_surrogate", "bom", "crlf", "duplicate_keys", "backslash",
-        "bad_escape", "overlong_utf8", "depth_at_the_bound", "one_above_it",
-        "200000_levels", "truncated", "digits_at_byte_0", "digits_after_a_space",
-        "digits_after_a_bom"])
+        "bad_escape", "overlong_utf8", "200000_levels", "truncated", "digits_at_byte_0",
+        "digits_after_a_space", "digits_after_a_bom",
+        "state", "json_dumps", "indent_2", "compact", "crlf_tabs_in_grid", "dims_after_rho",
+        "bracket_in_meta_after_rho", "extra_key", "minus_0_leaves", "17_digit_leaf",
+        "grid_then_.5", "number_past_its_bracket", "grid_then_e5", "rho_as_meta_value",
+        "rho_as_nested_key", "rho_twice", "nested_rho_then_empty_rho", "rho_only_nested",
+        "rho_ending_an_escaped_key", "state_in_a_list", "19_digit_leaf", "18_nines_leaf",
+        "1e18_leaf", "1e400_leaf", "bool_leaf", "string_leaf", "ragged", "zero_dim",
+        "bool_dim", "bom_state"])
 def test_which_route_a_file_takes_and_what_it_gives(tmp_path, data, route, want):
     path = tmp_path / "s.json"
     path.write_bytes(data)
-    assert (_parse_fast(data) is not None) == (route == "orjson")
+    assert (_parse_grid(data) is not None) == (route == "grid")
     if isinstance(want, str):
         with pytest.raises(StateFormatError) as info:
             load_document(path)
         # the one text that names no path
         assert str(info.value) == (want if want == _NOT_AN_OBJECT else f"{path} {want}")
-    else:
-        doc, digest = load_document(path)
-        assert _strict(doc) == _strict(want)
-        assert digest == file_digest(path)
+        return
+    doc, digest = load_document(path)
+    assert digest == file_digest(path)
+    if route == "grid":  # rho is the matrix of json's grid
+        want = {**want, "rho": doc_to_matrix({"dims": want["dims"], "rho": want["rho"]})[0]}
+    assert _strict(doc) == _strict(want)
 
 
-@pytest.mark.parametrize("depth", [_FAST_DEPTH, _FAST_DEPTH + 1, 200_000])
+@pytest.mark.parametrize("depth", [512, 20_000, 200_000])
 def test_a_deep_file_exits_3_on_a_1_mib_stack(tmp_path, monkeypatch, capsys, depth):
-    # a state whose first leaf nests the file ``depth`` levels deep: the
-    # deepest orjson parses, the shallowest json parses in its place and
-    # one json refuses.  orjson, unguarded, overflows a 1 MiB C stack at
-    # 16,000 - 24,000 levels, so the child runs first: it must exit 3, not
+    # a state whose first leaf nests the file ``depth`` levels deep: json
+    # parses the shallowest and refuses the others.  orjson, handed such a
+    # grid, would overflow a 1 MiB C stack at 16,000 - 24,000 levels; the
+    # grid route gives it only a flat list, so the child must exit 3, not
     # on a signal, with the item this process then gives
     leaf = b"[" * (depth - 4) + b"]" * (depth - 4)  # under the object, rho, row and cell
     (tmp_path / "deep.json").write_bytes(b'{"dims": [1, 1], "rho": [[[' + leaf + b", 0]]]}\n")
@@ -1043,53 +1256,53 @@ def _bench_corpus():
     return module
 
 
-def test_benchmark_state_files_take_the_fast_route(tmp_path):
-    # the read-8x8 corpus, planted defects too: the 200 KB files the
-    # fast route is for must not slip into json's
-    _bench_corpus().build("read-8x8", 0, tmp_path)
-    paths = sorted(tmp_path.glob("*.json"))
-    assert len(paths) == 33
-    for path in paths:
-        data = path.read_bytes()
-        doc = _parse_fast(data)
-        assert doc is not None, path.name
-        assert _strict(doc) == _strict(_json_loads(data))
-
-
-def _leaves(doc):
-    """A list document's values, or a state document's grid leaves row by row."""
-    return doc["values"] if "values" in doc else list(
-        chain.from_iterable(chain.from_iterable(doc["rho"])))
+def test_benchmark_state_files_take_the_grid_route_but_two_malformed_grids(tmp_path):
+    # the read-8x8 corpus, planted defects too: of the 200 KB files the grid
+    # route is for, only the bool cell and the short row go to json's
+    entries = _bench_corpus().build("read-8x8", 0, tmp_path)
+    assert len(entries) == 33
+    off_route = set()
+    for entry in entries:
+        data = (tmp_path / entry.name).read_bytes()
+        doc = _parse_grid(data)
+        if doc is None:
+            off_route.add(entry.kind)
+            continue
+        want = _json_loads(data)  # with rho the matrix of its grid
+        want["rho"] = doc_to_matrix({"dims": want["dims"], "rho": want["rho"]})[0]
+        assert _strict(doc) == _strict(want)
+    assert off_route == {"bool_cell", "short_row"}
 
 
 def parse17_mismatches(count, seed, directory, n=64):
-    """(values parsed to other bits, documents off the fast route) over the
-    finite ones of ``count`` seeded float64 bit patterns.
+    """(values parsed to other bits, documents off the grid route) over the
+    finite ones below 1e18 in magnitude of ``count`` seeded float64 bit
+    patterns.
 
-    Each run of ``2 * n * n`` values is written as a list in ``%.17g`` and
-    in ``repr``, and as the canonical n x n grid state document, whose
-    zeros print as ``0``; each document goes through load_document and
-    through json.loads.
+    Each run of ``2 * n * n`` values is written as an n x n grid state
+    document in ``%.17g`` and in ``repr``; each document goes through
+    load_document and doc_to_matrix, and through json.loads and doc_to_matrix.
     """
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2 ** 64, count, dtype=np.uint64).view(float)
-    x = x[np.isfinite(x)]
+    x = x[np.abs(x) < 1e18]  # and so finite
     per = 2 * n * n
+    row = "[" + ", ".join(["[%s, %s]"] * n) + "]"
+    template = '{"dims": [%d, 1], "rho": [%s]}\n' % (n, ", ".join([row] * n))
     path = Path(directory) / "parse17.json"
     bad = off_route = 0
     for start in range(0, len(x), per):
-        part = x[start:start + per]
-        grid = np.resize(part, per).view(complex).reshape(n, n)
-        for text in ('{"values": [' + ", ".join(map("%.17g".__mod__, part.tolist())) + "]}",
-                     '{"values": [' + ", ".join(map(repr, part.tolist())) + "]}",
-                     dumps_canonical({"dims": [n, 1], "rho": grid})):
+        part = np.resize(x[start:start + per], per)
+        for text in (template % tuple(map("%.17g".__mod__, part.tolist())),
+                     template % tuple(map(repr, part.tolist()))):
             path.write_text(text, encoding="utf-8")
-            off_route += _parse_fast(path.read_bytes()) is None
-            got, want = map(_leaves, (load_document(path)[0], json.loads(text)))
-            bad += abs(len(got) - len(want)) + sum(map(operator.ne, _strict(got), _strict(want)))
+            off_route += _parse_grid(path.read_bytes()) is None
+            got, want = (doc_to_matrix(doc)[0] for doc in (load_document(path)[0],
+                                                           json.loads(text)))
+            bad += np.count_nonzero(_bits(got) != _bits(want))
     return bad, off_route
 
 
-def test_the_fast_route_parses_what_json_parses_bit_for_bit(tmp_path):
+def test_the_grid_route_parses_what_json_parses_bit_for_bit(tmp_path):
     # CI sweeps 2,000,000 bit patterns
     assert parse17_mismatches(40_000, seed=0, directory=tmp_path) == (0, 0)
